@@ -12,10 +12,14 @@ Exit codes: 0 run completed and the kind's asserted inequalities held,
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -39,10 +43,14 @@ from .states import DensityOperator, Pvm, maximally_mixed, pure_state
 
 __all__ = ["ConfigError", "ExperimentConfig", "ResultTable", "emit", "main", "parse_config", "run"]
 
-KINDS = ("whichway", "martens-sweep", "epr-bell", "chsh-pasted", "premeasure", "sample")
-
 CHSH_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
+
+# Documented limits, checked at parse time so that no config field can make a run
+# allocate without bound (`sample_counts` holds one float64 per draw).
+MAX_JOINT_DIM = 16
+MAX_SAMPLES = 10_000_000
+MAX_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -64,103 +72,63 @@ class ResultTable:
 
 
 @dataclass(frozen=True)
-class WhichWayRun:
-    config: WhichWayConfig
-    state: DensityOperator
+class Kind:
+    """One config kind: the fields it accepts besides `kind`, `build(raw) -> params`,
+    `run(params, tol) -> rows`, and the CSV columns of those rows."""
 
-
-@dataclass(frozen=True)
-class SweepRun:
-    theta: float
-    theta_prime: float
-    n_points: int
-
-
-@dataclass(frozen=True)
-class EprBellRun:
-    config: EprBellConfig
-    state: DensityOperator
-
-
-@dataclass(frozen=True)
-class PastedRun:
-    theta1: float
-    theta1_prime: float
-    theta2: float
-    theta2_prime: float
-    state: DensityOperator
-
-
-@dataclass(frozen=True)
-class PremeasureRun:
-    model: PremeasurementModel
-    rho_object: DensityOperator
-
-
-@dataclass(frozen=True)
-class SampleRun:
-    config: EprBellConfig
-    state: DensityOperator
-    n_samples: int
-    seed: int
+    fields: frozenset
+    build: Callable
+    run: Callable
+    columns: tuple
 
 
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _check_fields(obj: dict, allowed: set, path: str):
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(f"{path}{unknown[0]}", "unknown field")
+def _finite(value, path: str) -> float:
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    _fail(path, "expected a finite number")
 
 
-def _number(obj: dict, key: str, path: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            _fail(f"{path}{key}", "required field missing")
-        return float(default)
-    value = obj[key]
+def _number(raw: dict, key: str, default=None) -> float:
+    if key not in raw and default is None:
+        _fail(key, "required field missing")
+    value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}{key}", f"expected a number, got {type(value).__name__}")
-    return float(value)
+        _fail(key, f"expected a number, got {type(value).__name__}")
+    return _finite(value, key)
 
 
-def _integer(obj: dict, key: str, path: str, default=None, minimum=None) -> int:
-    if key not in obj:
-        if default is None:
-            _fail(f"{path}{key}", "required field missing")
-        value = default
-    else:
-        value = obj[key]
+def _integer(raw: dict, key: str, default=None, minimum=None, maximum=None) -> int:
+    if key not in raw and default is None:
+        _fail(key, "required field missing")
+    value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}{key}", f"expected an integer, got {type(value).__name__}")
+        _fail(key, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
-        _fail(f"{path}{key}", f"must be >= {minimum}, got {value}")
+        _fail(key, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(key, f"must be <= {maximum}, got {value}")
     return int(value)
 
 
-def _gamma(obj: dict, key: str, path: str) -> float:
-    value = _number(obj, key, path)
+def _gamma(raw: dict, key: str) -> float:
+    value = _number(raw, key)
     if not 0.0 <= value <= 1.0:
-        _fail(f"{path}{key}", f"must lie in [0, 1], got {value:g}")
+        _fail(key, f"must lie in [0, 1], got {value:g}")
     return value
 
 
 def _complex_entry(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-    ):
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    if not pair or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value):
         _fail(path, "complex entries are [re, im] number pairs")
-    return complex(value[0], value[1])
-
-
-def _vector(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a nonempty list of [re, im] pairs")
-    return np.array([_complex_entry(v, f"{path}[{k}]") for k, v in enumerate(value)])
+    return complex(_finite(value[0], path), _finite(value[1], path))
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -174,216 +142,215 @@ def _matrix(value, path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _state(obj: dict, key: str, path: str, dim: int, default_vec) -> DensityOperator:
-    if key not in obj:
-        return pure_state(default_vec)
-    vec = _vector(obj[key], f"{path}{key}")
-    if len(vec) != dim:
-        _fail(f"{path}{key}", f"state vector must have {dim} entries, got {len(vec)}")
+@contextmanager
+def _operator_errors(path: str):
+    """Report an operator the domain layer rejects as a config error at `path`."""
     try:
+        yield
+    except (ValidationError, DimensionMismatchError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _state(raw: dict, dim: int, default_vec) -> DensityOperator:
+    if "state" not in raw:
+        return pure_state(default_vec)
+    value = raw["state"]
+    if not isinstance(value, list) or not value:
+        _fail("state", "expected a nonempty list of [re, im] pairs")
+    vec = np.array([_complex_entry(v, f"state[{k}]") for k, v in enumerate(value)])
+    if len(vec) != dim:
+        _fail("state", f"state vector must have {dim} entries, got {len(vec)}")
+    with _operator_errors("state"):
         return pure_state(vec)
-    except ValidationError as exc:
-        _fail(f"{path}{key}", str(exc))
 
 
-def _radians(degrees: float) -> float:
-    return float(np.deg2rad(degrees))
+def _angle(raw: dict, key: str, default=None) -> float:
+    """A `*_deg` field, in radians."""
+    return float(np.deg2rad(_number(raw, key, default)))
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a UTF-8 JSON experiment configuration."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config: malformed JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     if "kind" not in raw:
         raise ConfigError("kind: required field missing")
     kind = raw["kind"]
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"kind: unknown kind {kind!r}, expected one of {', '.join(KINDS)}")
-    parser = {
-        "whichway": _parse_whichway,
-        "martens-sweep": _parse_sweep,
-        "epr-bell": _parse_eprbell,
-        "chsh-pasted": _parse_pasted,
-        "premeasure": _parse_premeasure,
-        "sample": _parse_sample,
-    }[kind]
-    return ExperimentConfig(kind=kind, params=parser(raw), raw=raw)
+    spec = KINDS[kind]
+    unknown = sorted(set(raw) - spec.fields - {"kind"})
+    if unknown:
+        _fail(unknown[0], "unknown field")
+    return ExperimentConfig(kind=kind, params=spec.build(raw), raw=raw)
 
 
-def _parse_whichway(obj: dict) -> WhichWayRun:
-    _check_fields(obj, {"kind", "theta_deg", "theta_prime_deg", "gamma", "state"}, "")
-    config = WhichWayConfig(
-        theta=_radians(_number(obj, "theta_deg", "")),
-        theta_prime=_radians(_number(obj, "theta_prime_deg", "")),
-        gamma=_gamma(obj, "gamma", ""),
-    )
-    return WhichWayRun(config=config, state=_state(obj, "state", "", 2, [1.0, 0.0]))
-
-
-def _parse_sweep(obj: dict) -> SweepRun:
-    _check_fields(obj, {"kind", "theta_deg", "theta_prime_deg", "n_points"}, "")
-    return SweepRun(
-        theta=_radians(_number(obj, "theta_deg", "", default=0.0)),
-        theta_prime=_radians(_number(obj, "theta_prime_deg", "", default=45.0)),
-        n_points=_integer(obj, "n_points", "", default=101, minimum=2),
-    )
-
+# -- the kinds.  A builder reads fields in a fixed order, so the first bad field
+# is the one reported; a runner turns the parameters into result rows. ----------
 
 _ENTANGLED_VEC = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+_ARM_ANGLES = ("theta1_deg", "theta1_prime_deg", "theta2_deg", "theta2_prime_deg")
+_QUAD_OUTCOMES = ["".join(w) for w in product("pm", repeat=4)]
 
 
-def _parse_arms(obj: dict, with_gammas: bool):
-    angles = tuple(
-        _radians(_number(obj, key, ""))
-        for key in ("theta1_deg", "theta1_prime_deg", "theta2_deg", "theta2_prime_deg")
+def _build_whichway(raw: dict) -> SimpleNamespace:
+    angles = _angle(raw, "theta_deg"), _angle(raw, "theta_prime_deg")
+    config = WhichWayConfig(*angles, _gamma(raw, "gamma"))
+    return SimpleNamespace(config=config, state=_state(raw, 2, [1.0, 0.0]))
+
+
+def _run_whichway(p, tol) -> list:
+    probs = distribution(p.state, whichway_povm(p.config)).probabilities
+    lam, mu = whichway_nonideality(p.config)
+    row = [*probs.reshape(-1), *lam.lam.reshape(-1), *mu.lam.reshape(-1), lam.residual, mu.residual]
+    return [row]
+
+
+def _build_sweep(raw: dict) -> SimpleNamespace:
+    return SimpleNamespace(
+        theta=_angle(raw, "theta_deg", default=0.0),
+        theta_prime=_angle(raw, "theta_prime_deg", default=45.0),
+        n_points=_integer(raw, "n_points", default=101, minimum=2, maximum=MAX_POINTS),
     )
-    if not with_gammas:
-        return angles
-    return angles + (_gamma(obj, "gamma1", ""), _gamma(obj, "gamma2", ""))
 
 
-def _parse_eprbell(obj: dict) -> EprBellRun:
-    _check_fields(
-        obj,
-        {
-            "kind",
-            "theta1_deg",
-            "theta1_prime_deg",
-            "theta2_deg",
-            "theta2_prime_deg",
-            "gamma1",
-            "gamma2",
-            "state",
-        },
-        "",
-    )
-    t1, t1p, t2, t2p, g1, g2 = _parse_arms(obj, with_gammas=True)
+def _run_sweep(p, tol) -> list:
+    slack_floor = -(tol if tol is not None else MARTENS_SLACK_TOL)
+    points = martens_sweep(p.theta, p.theta_prime, p.n_points)
+    worst = min(pt.slack for pt in points)
+    if worst < slack_floor:
+        raise ValidationError(f"sweep slack {worst:.3e} below {slack_floor:.0e}")
+    return [(pt.gamma, pt.j_lambda, pt.j_mu, pt.bound, pt.slack) for pt in points]
+
+
+def _build_eprbell(raw: dict) -> SimpleNamespace:
+    t1, t1p, t2, t2p = (_angle(raw, key) for key in _ARM_ANGLES)
     config = EprBellConfig(
-        arm1=WhichWayConfig(t1, t1p, g1), arm2=WhichWayConfig(t2, t2p, g2)
+        arm1=WhichWayConfig(t1, t1p, _gamma(raw, "gamma1")),
+        arm2=WhichWayConfig(t2, t2p, _gamma(raw, "gamma2")),
     )
-    return EprBellRun(config=config, state=_state(obj, "state", "", 4, _ENTANGLED_VEC))
+    return SimpleNamespace(config=config, state=_state(raw, 4, _ENTANGLED_VEC))
 
 
-def _parse_pasted(obj: dict) -> PastedRun:
-    _check_fields(
-        obj,
-        {"kind", "theta1_deg", "theta1_prime_deg", "theta2_deg", "theta2_prime_deg", "state"},
-        "",
-    )
-    t1, t1p, t2, t2p = _parse_arms(obj, with_gammas=False)
-    return PastedRun(
-        theta1=t1,
-        theta1_prime=t1p,
-        theta2=t2,
-        theta2_prime=t2p,
-        state=_state(obj, "state", "", 4, _ENTANGLED_VEC),
-    )
+def _run_eprbell(p, tol) -> list:
+    probs = distribution(p.state, eprbell_povm(p.config)).probabilities
+    result = chsh_single_setup(p.state, p.config)
+    s = result.s_value
+    if abs(s) > 2.0 + (tol if tol is not None else CHSH_TOL):
+        raise ValidationError(f"single-setup CHSH {s:.12g} exceeds the classical bound 2")
+    return [[*probs.reshape(-1), *result.correlations, s]]
 
 
-def _parse_premeasure(obj: dict) -> PremeasureRun:
-    _check_fields(
-        obj,
-        {
-            "kind",
-            "dim_object",
-            "dim_apparatus",
-            "unitary",
-            "hamiltonian",
-            "time",
-            "rho_apparatus",
-            "pointer",
-            "rho_object",
-        },
-        "",
-    )
-    dim_o = _integer(obj, "dim_object", "", minimum=1)
-    dim_a = _integer(obj, "dim_apparatus", "", minimum=1)
-    if ("unitary" in obj) == ("hamiltonian" in obj):
-        raise ConfigError("unitary: provide exactly one of 'unitary' or 'hamiltonian'+'time'")
-    if "rho_apparatus" not in obj:
-        raise ConfigError("rho_apparatus: required field missing")
-    if "pointer" not in obj or not isinstance(obj["pointer"], list) or not obj["pointer"]:
-        raise ConfigError("pointer: required nonempty list of projector matrices")
-    try:
-        rho_a = DensityOperator(Operator(_matrix(obj["rho_apparatus"], "rho_apparatus")))
-    except (ValidationError, DimensionMismatchError) as exc:
-        raise ConfigError(f"rho_apparatus: {exc}") from exc
-    try:
-        pointer = Pvm(
-            [Operator(_matrix(p, f"pointer[{k}]")) for k, p in enumerate(obj["pointer"])],
-            labels=range(len(obj["pointer"])),
-        )
-    except (ValidationError, DimensionMismatchError) as exc:
-        raise ConfigError(f"pointer: {exc}") from exc
-    try:
-        if "unitary" in obj:
-            model = PremeasurementModel(
-                rho_a, Operator(_matrix(obj["unitary"], "unitary")), pointer, dim_o, dim_a
-            )
+def _build_pasted(raw: dict) -> SimpleNamespace:
+    angles = [_angle(raw, key) for key in _ARM_ANGLES]
+    return SimpleNamespace(angles=angles, state=_state(raw, 4, _ENTANGLED_VEC))
+
+
+def _run_pasted(p, tol) -> list:
+    result = chsh_pasted_aspect(p.state, *p.angles)
+    return [[*result.correlations, result.s_value, float(result.violates)]]
+
+
+def _build_premeasure(raw: dict) -> SimpleNamespace:
+    dim_o = _integer(raw, "dim_object", minimum=2)
+    dim_a = _integer(raw, "dim_apparatus", minimum=2)
+    if dim_o * dim_a > MAX_JOINT_DIM:
+        _fail("dim_apparatus", f"dim_object * dim_apparatus must be <= {MAX_JOINT_DIM}, "
+              f"got {dim_o * dim_a}")
+    if ("unitary" in raw) == ("hamiltonian" in raw):
+        _fail("unitary", "provide exactly one of 'unitary' or 'hamiltonian'+'time'")
+    if "rho_apparatus" not in raw:
+        _fail("rho_apparatus", "required field missing")
+    projectors = raw.get("pointer")
+    if not isinstance(projectors, list) or not projectors:
+        _fail("pointer", "required nonempty list of projector matrices")
+    with _operator_errors("rho_apparatus"):
+        rho_a = DensityOperator(Operator(_matrix(raw["rho_apparatus"], "rho_apparatus")))
+    with _operator_errors("pointer"):
+        projectors = [Operator(_matrix(p, f"pointer[{k}]")) for k, p in enumerate(projectors)]
+        pointer = Pvm(projectors, labels=range(len(projectors)))
+    with _operator_errors("unitary"):
+        if "unitary" in raw:
+            unitary = Operator(_matrix(raw["unitary"], "unitary"))
+            model = PremeasurementModel(rho_a, unitary, pointer, dim_o, dim_a)
         else:
-            if "time" not in obj:
-                raise ConfigError("time: required with 'hamiltonian'")
+            if "time" not in raw:
+                _fail("time", "required with 'hamiltonian'")
+            hamiltonian = Operator(_matrix(raw["hamiltonian"], "hamiltonian"))
             model = PremeasurementModel.from_generator(
-                Operator(_matrix(obj["hamiltonian"], "hamiltonian")),
-                _number(obj, "time", ""),
-                rho_a,
-                pointer,
-                dim_o,
-                dim_a,
+                hamiltonian, _number(raw, "time"), rho_a, pointer, dim_o, dim_a
             )
-    except (ValidationError, DimensionMismatchError) as exc:
-        raise ConfigError(f"unitary: {exc}") from exc
-    if "rho_object" in obj:
-        try:
-            rho_o = DensityOperator(Operator(_matrix(obj["rho_object"], "rho_object")))
-        except (ValidationError, DimensionMismatchError) as exc:
-            raise ConfigError(f"rho_object: {exc}") from exc
-        if rho_o.dim != dim_o:
-            raise ConfigError(f"rho_object: dimension {rho_o.dim} != dim_object {dim_o}")
-    else:
-        rho_o = maximally_mixed(dim_o)
-    return PremeasureRun(model=model, rho_object=rho_o)
+    if "rho_object" not in raw:
+        return SimpleNamespace(model=model, rho_object=maximally_mixed(dim_o))
+    with _operator_errors("rho_object"):
+        rho_o = DensityOperator(Operator(_matrix(raw["rho_object"], "rho_object")))
+    if rho_o.dim != dim_o:
+        _fail("rho_object", f"dimension {rho_o.dim} != dim_object {dim_o}")
+    return SimpleNamespace(model=model, rho_object=rho_o)
 
 
-def _parse_sample(obj: dict) -> SampleRun:
-    _check_fields(
-        obj,
-        {
-            "kind",
-            "theta1_deg",
-            "theta1_prime_deg",
-            "theta2_deg",
-            "theta2_prime_deg",
-            "gamma1",
-            "gamma2",
-            "state",
-            "n_samples",
-            "seed",
-        },
-        "",
-    )
-    t1, t1p, t2, t2p, g1, g2 = _parse_arms(obj, with_gammas=True)
-    config = EprBellConfig(
-        arm1=WhichWayConfig(t1, t1p, g1), arm2=WhichWayConfig(t2, t2p, g2)
-    )
-    return SampleRun(
-        config=config,
-        state=_state(obj, "state", "", 4, _ENTANGLED_VEC),
-        n_samples=_integer(obj, "n_samples", "", minimum=1),
-        seed=_integer(obj, "seed", ""),
-    )
+def _run_premeasure(p, tol) -> list:
+    povm = induced_povm(p.model)
+    residual = pointer_consistency(p.rho_object, p.model)
+    limit = tol if tol is not None else CONSISTENCY_TOL
+    if residual >= limit:
+        raise ValidationError(f"pointer consistency residual {residual:.3e} >= {limit:.0e}")
+    return [
+        (float(k), float(i), float(j), entry.real, entry.imag, residual)
+        for k, effect in enumerate(povm.effects)
+        for (i, j), entry in np.ndenumerate(effect.mat)
+    ]
 
 
-_QUAD_COLUMNS = ["".join(w) for w in product("pm", repeat=4)]
+def _build_sample(raw: dict) -> SimpleNamespace:
+    params = _build_eprbell(raw)
+    params.n_samples = _integer(raw, "n_samples", minimum=1, maximum=MAX_SAMPLES)
+    params.seed = _integer(raw, "seed")
+    return params
 
 
-def _table(config: ExperimentConfig, columns, rows) -> ResultTable:
-    metadata = {"kind": config.kind, "version": __version__, "config": config.raw}
-    return ResultTable(columns=tuple(columns), rows=tuple(tuple(r) for r in rows), metadata=metadata)
+def _run_sample(p, tol) -> list:
+    check = quadruple_sample_check(p.state, p.config, p.n_samples, p.seed)
+    return [[*(float(c) for c in check.counts.reshape(-1)), check.tv_distance]]
+
+
+_EPRBELL_FIELDS = frozenset({*_ARM_ANGLES, "gamma1", "gamma2", "state"})
+
+KINDS = {
+    "whichway": Kind(
+        frozenset({"theta_deg", "theta_prime_deg", "gamma", "state"}),
+        _build_whichway, _run_whichway,
+        tuple(f"{name}_{w}" for name in ("p", "lambda", "mu") for w in ("pp", "pm", "mp", "mm"))
+        + ("lambda_residual", "mu_residual"),
+    ),
+    "martens-sweep": Kind(
+        frozenset({"theta_deg", "theta_prime_deg", "n_points"}), _build_sweep, _run_sweep,
+        ("gamma", "j_lambda", "j_mu", "bound", "slack"),
+    ),
+    "epr-bell": Kind(
+        _EPRBELL_FIELDS, _build_eprbell, _run_eprbell,
+        tuple(f"p_{w}" for w in _QUAD_OUTCOMES)
+        + ("E_m1m2", "E_m1n2", "E_n1m2", "E_n1n2", "s_value"),
+    ),
+    "chsh-pasted": Kind(
+        frozenset({*_ARM_ANGLES, "state"}), _build_pasted, _run_pasted,
+        ("E_ab", "E_abp", "E_apb", "E_apbp", "s_value", "violates"),
+    ),
+    "premeasure": Kind(
+        frozenset({"dim_object", "dim_apparatus", "unitary", "hamiltonian", "time",
+                   "rho_apparatus", "pointer", "rho_object"}),
+        _build_premeasure, _run_premeasure,
+        ("effect", "row", "col", "re", "im", "consistency_residual"),
+    ),
+    "sample": Kind(
+        _EPRBELL_FIELDS | {"n_samples", "seed"}, _build_sample, _run_sample,
+        tuple(f"count_{w}" for w in _QUAD_OUTCOMES) + ("tv_distance",),
+    ),
+}
 
 
 def run(config: ExperimentConfig, tol: float = None) -> ResultTable:
@@ -392,109 +359,16 @@ def run(config: ExperimentConfig, tol: float = None) -> ResultTable:
     `tol` overrides the tolerance of the kind's asserted inequality
     (sweep slack, single-setup CHSH bound, pointer consistency).
     """
-    runner = {
-        "whichway": _run_whichway,
-        "martens-sweep": _run_sweep,
-        "epr-bell": _run_eprbell,
-        "chsh-pasted": _run_pasted,
-        "premeasure": _run_premeasure,
-        "sample": _run_sample,
-    }[config.kind]
-    return runner(config, tol)
-
-
-def _run_whichway(config: ExperimentConfig, tol) -> ResultTable:
-    p = config.params
-    probs = distribution(p.state, whichway_povm(p.config)).probabilities
-    lam, mu = whichway_nonideality(p.config)
-    columns = (
-        ["p_pp", "p_pm", "p_mp", "p_mm"]
-        + ["lambda_pp", "lambda_pm", "lambda_mp", "lambda_mm"]
-        + ["mu_pp", "mu_pm", "mu_mp", "mu_mm"]
-        + ["lambda_residual", "mu_residual"]
-    )
-    row = (
-        list(probs.reshape(-1))
-        + list(lam.lam.reshape(-1))
-        + list(mu.lam.reshape(-1))
-        + [lam.residual, mu.residual]
-    )
-    return _table(config, columns, [row])
-
-
-def _run_sweep(config: ExperimentConfig, tol) -> ResultTable:
-    p = config.params
-    slack_floor = -(tol if tol is not None else MARTENS_SLACK_TOL)
-    points = martens_sweep(p.theta, p.theta_prime, p.n_points)
-    rows = [(pt.gamma, pt.j_lambda, pt.j_mu, pt.bound, pt.slack) for pt in points]
-    worst = min(pt.slack for pt in points)
-    if worst < slack_floor:
-        raise ValidationError(f"sweep slack {worst:.3e} below {slack_floor:.0e}")
-    return _table(config, ["gamma", "j_lambda", "j_mu", "bound", "slack"], rows)
-
-
-def _run_eprbell(config: ExperimentConfig, tol) -> ResultTable:
-    p = config.params
-    probs = distribution(p.state, eprbell_povm(p.config)).probabilities
-    result = chsh_single_setup(p.state, p.config)
-    bound_tol = tol if tol is not None else CHSH_TOL
-    if abs(result.s_value) > 2.0 + bound_tol:
-        raise ValidationError(
-            f"single-setup CHSH {result.s_value:.12g} exceeds the classical bound 2"
-        )
-    columns = [f"p_{w}" for w in _QUAD_COLUMNS] + [
-        "E_m1m2",
-        "E_m1n2",
-        "E_n1m2",
-        "E_n1n2",
-        "s_value",
-    ]
-    row = list(probs.reshape(-1)) + list(result.correlations) + [result.s_value]
-    return _table(config, columns, [row])
-
-
-def _run_pasted(config: ExperimentConfig, tol) -> ResultTable:
-    p = config.params
-    result = chsh_pasted_aspect(p.state, p.theta1, p.theta1_prime, p.theta2, p.theta2_prime)
-    columns = ["E_ab", "E_abp", "E_apb", "E_apbp", "s_value", "violates"]
-    row = list(result.correlations) + [result.s_value, float(result.violates)]
-    return _table(config, columns, [row])
-
-
-def _run_premeasure(config: ExperimentConfig, tol) -> ResultTable:
-    p = config.params
-    povm = induced_povm(p.model)
-    residual = pointer_consistency(p.rho_object, p.model)
-    limit = tol if tol is not None else CONSISTENCY_TOL
-    if residual >= limit:
-        raise ValidationError(f"pointer consistency residual {residual:.3e} >= {limit:.0e}")
-    rows = []
-    for k, effect in enumerate(povm.effects):
-        for i in range(effect.dim):
-            for j in range(effect.dim):
-                entry = effect.mat[i, j]
-                rows.append((float(k), float(i), float(j), entry.real, entry.imag, residual))
-    return _table(
-        config, ["effect", "row", "col", "re", "im", "consistency_residual"], rows
-    )
-
-
-def _run_sample(config: ExperimentConfig, tol) -> ResultTable:
-    p = config.params
-    check = quadruple_sample_check(p.state, p.config, p.n_samples, p.seed)
-    columns = [f"count_{w}" for w in _QUAD_COLUMNS] + ["tv_distance"]
-    row = [float(c) for c in check.counts.reshape(-1)] + [check.tv_distance]
-    return _table(config, columns, [row])
-
-
-def _format_value(value: float) -> str:
-    return format(float(value), ".12g")
+    kind = KINDS[config.kind]
+    rows = kind.run(config.params, tol)
+    metadata = {"kind": config.kind, "version": __version__, "config": config.raw}
+    return ResultTable(columns=kind.columns, rows=tuple(tuple(r) for r in rows), metadata=metadata)
 
 
 def render_csv(table: ResultTable) -> str:
     lines = [",".join(table.columns)]
     for row in table.rows:
-        lines.append(",".join(_format_value(v) for v in row))
+        lines.append(",".join(format(float(v), ".12g") for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -543,9 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    tol = getattr(args, "tol", None)
+    if tol is not None and not math.isfinite(tol):
+        print("config error: --tol: expected a finite number", file=sys.stderr)
+        return 1
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -553,7 +431,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             sys.stdout.write(f"ok: {config.kind}\n")
             return 0
-        table = run(config, tol=args.tol)
+        table = run(config, tol=tol)
         emit(table, args.format, args.out)
         return 0
     except ConfigError as exc:

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmeas.cli import (
+    KINDS,
     ConfigError,
     ResultTable,
     emit,
@@ -18,6 +21,10 @@ from qmeas.cli import (
 )
 
 LN2 = math.log(2.0)
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "configs").glob("*.json"))
+# Stdout digests of the shipped configs, recorded by bench/record_digests.py.
+DIGESTS = json.loads((ROOT / "bench" / "cli_digests.json").read_text(encoding="utf-8"))
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -246,3 +253,190 @@ def test_main_run_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("p_pp,p_pm,p_mp,p_mm,")
     assert len(out.rstrip("\n").split("\n")) == 2
+
+
+def shipped(name, drop=(), **changes):
+    """JSON text of a shipped config with fields dropped or changed."""
+    config = json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    return json.dumps({k: v for k, v in dict(config, **changes).items() if k not in drop})
+
+
+def run_main(tmp_path, capsys, text, *argv):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    code = main([*(argv or ["run"]), "--config", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_config_output_matches_recorded_digest(path, fmt, capsys):
+    assert main(["run", "--config", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[f"shipped/{path.stem}/{fmt}"]
+
+
+def test_every_kind_has_a_shipped_config_that_validates(capsys):
+    kinds = []
+    for path in SHIPPED:
+        assert main(["validate", "--config", str(path)]) == 0
+        kinds.append(capsys.readouterr().out.removeprefix("ok: ").rstrip("\n"))
+    assert sorted(kinds) == sorted(KINDS)
+
+
+HAMILTONIAN = [[[0, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 0]],
+               [[0, 0], [0, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0], [0, 0]]]
+KIND_LIST = "whichway, martens-sweep, epr-bell, chsh-pasted, premeasure, sample"
+
+# Exit code and exact stderr of `qmeas run` on malformed configs, as the CLI
+# reported them before its kinds were folded into one table.
+ERROR_CONTRACT = [
+    ("malformed-json", '{"kind": "whichway", ', [], 1,
+     "config: malformed JSON (Expecting property name enclosed in double quotes: "
+     "line 1 column 22 (char 21))"),
+    ("top-level-list", "[]", [], 1, "config: top level must be a JSON object"),
+    ("missing-kind", '{"theta_deg": 0}', [], 1, "kind: required field missing"),
+    ("unknown-kind", shipped("whichway", kind="teleport"), [], 1,
+     f"kind: unknown kind 'teleport', expected one of {KIND_LIST}"),
+    ("non-string-kind", shipped("whichway", kind=["whichway"]), [], 1,
+     f"kind: unknown kind ['whichway'], expected one of {KIND_LIST}"),
+    ("missing-field", shipped("whichway", drop=["gamma"]), [], 1,
+     "gamma: required field missing"),
+    ("null-integer", shipped("sample", n_samples=None), [], 1,
+     "n_samples: expected an integer, got NoneType"),
+    ("bool-as-number", shipped("whichway", theta_deg=True), [], 1,
+     "theta_deg: expected a number, got bool"),
+    ("unknown-field", shipped("whichway", gama=0.5), [], 1, "gama: unknown field"),
+    ("non-square-matrix",
+     shipped("premeasure_cnot", rho_apparatus=[[[1, 0], [0, 0]], [[0, 0]]]), [], 1,
+     "rho_apparatus[1]: matrix must be square, rows of [re, im] pairs"),
+    ("bad-complex-entry",
+     shipped("premeasure_cnot", rho_object=[[[0.5, 0, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]),
+     [], 1, "rho_object[0][0]: complex entries are [re, im] number pairs"),
+    ("wrong-state-length", shipped("chsh_pasted", state=[[1, 0], [0, 0]]), [], 1,
+     "state: state vector must have 4 entries, got 2"),
+    ("unitary-and-hamiltonian", shipped("premeasure_cnot", hamiltonian=HAMILTONIAN, time=1.0),
+     [], 1, "unitary: provide exactly one of 'unitary' or 'hamiltonian'+'time'"),
+    ("hamiltonian-without-time",
+     shipped("premeasure_cnot", drop=["unitary"], hamiltonian=HAMILTONIAN), [], 1,
+     "time: required with 'hamiltonian'"),
+    ("rho-object-dimension", shipped("premeasure_cnot", rho_object=[[[1, 0]]]), [], 1,
+     "rho_object: dimension 1 != dim_object 2"),
+    ("gamma-out-of-range", shipped("epr_bell", gamma2=1.5), [], 1,
+     "gamma2: must lie in [0, 1], got 1.5"),
+    ("bound-fails", shipped("epr_bell"), ["--tol", "-1"], 2,
+     "single-setup CHSH 1.20710678119 exceeds the classical bound 2"),
+    ("consistency-fails", shipped("premeasure_cnot"), ["--tol", "-1"], 2,
+     "pointer consistency residual 0.000e+00 >= -1e+00"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,args,code,message", [c[1:] for c in ERROR_CONTRACT], ids=[c[0] for c in ERROR_CONTRACT]
+)
+def test_main_error_contract(tmp_path, capsys, text, args, code, message):
+    prefix = "config error" if code == 1 else "domain error"
+    assert run_main(tmp_path, capsys, text, "run", *args) == (code, "", f"{prefix}: {message}\n")
+
+
+NAN, INF = float("nan"), float("inf")
+CNOT_UNITARY = json.loads(shipped("premeasure_cnot"))["unitary"]
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        pytest.param(shipped("whichway", theta_deg=NAN), "theta_deg", id="nan-angle"),
+        pytest.param(shipped("chsh_pasted", theta1_deg=INF), "theta1_deg", id="inf-angle"),
+        pytest.param(shipped("whichway", gamma=NAN), "gamma", id="nan-gamma"),
+        pytest.param(shipped("sample", gamma1=-INF), "gamma1", id="minus-inf-gamma"),
+        pytest.param(shipped("entropy_sweep", theta_prime_deg=10**400), "theta_prime_deg",
+                     id="integer-beyond-float-range"),
+        pytest.param(shipped("whichway", state=[[NAN, 0], [0, 0]]), "state[0]", id="nan-state"),
+        pytest.param(shipped("epr_bell", state=[[1, 0], [0, 0], [0, 0], [1, 10**400]]),
+                     "state[3]", id="huge-imaginary-part"),
+        pytest.param(shipped("premeasure_cnot", unitary=[[[1, INF]] + CNOT_UNITARY[0][1:]]
+                             + CNOT_UNITARY[1:]), "unitary[0][0]", id="inf-matrix-entry"),
+        pytest.param(shipped("premeasure_cnot", drop=["unitary"], hamiltonian=HAMILTONIAN,
+                             time=NAN), "time", id="nan-time"),
+    ],
+)
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, text, field):
+    expected = (1, "", f"config error: {field}: expected a finite number\n")
+    assert run_main(tmp_path, capsys, text, "validate") == expected
+    assert run_main(tmp_path, capsys, text, "run") == expected
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name", ["premeasure_cnot", "entropy_sweep"])
+def test_main_rejects_non_finite_tol(capsys, name, tol):
+    assert main(["run", "--config", str(ROOT / "configs" / f"{name}.json"), f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "config error: --tol: expected a finite number\n")
+
+
+def identity_premeasure(dim_o, dim_a):
+    """A premeasure config with the identity interaction: valid for any dimensions."""
+
+    def pairs(m):
+        return [[[float(x), 0.0] for x in row] for row in m]
+
+    basis = np.eye(dim_a)
+    return {
+        "kind": "premeasure",
+        "dim_object": dim_o,
+        "dim_apparatus": dim_a,
+        "unitary": pairs(np.eye(dim_o * dim_a)),
+        "rho_apparatus": pairs(np.diag(basis[0])),
+        "pointer": [pairs(np.diag(basis[k])) for k in range(dim_a)],
+    }
+
+
+# Limits are probed through parsing only, which rejects before anything is
+# allocated: an over-limit config is never run.
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(json.dumps(identity_premeasure(1, 2)), "dim_object: must be >= 2, got 1",
+                     id="dim-object-1"),
+        pytest.param(json.dumps(identity_premeasure(2, 1)), "dim_apparatus: must be >= 2, got 1",
+                     id="dim-apparatus-1"),
+        pytest.param(json.dumps(identity_premeasure(3, 6)),
+                     "dim_apparatus: dim_object * dim_apparatus must be <= 16, got 18",
+                     id="joint-dim-18"),
+        pytest.param(shipped("sample", n_samples=10_000_001),
+                     "n_samples: must be <= 10000000, got 10000001", id="n-samples"),
+        pytest.param(shipped("entropy_sweep", n_points=100_001),
+                     "n_points: must be <= 100000, got 100001", id="n-points"),
+    ],
+)
+def test_validate_rejects_over_limit_configs(tmp_path, capsys, text, message):
+    assert run_main(tmp_path, capsys, text, "validate") == (1, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(identity_premeasure(2, 2)),
+        json.dumps(identity_premeasure(4, 4)),
+        json.dumps(identity_premeasure(2, 8)),
+        shipped("sample", n_samples=10_000_000),
+        shipped("entropy_sweep", n_points=100_000),
+    ],
+    ids=["dims-2x2", "dims-4x4", "dims-2x8", "n-samples", "n-points"],
+)
+def test_parse_accepts_configs_at_the_limits(text):
+    parse_config(text)
+
+
+def test_main_reports_undecodable_config_as_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+
+
+def test_parse_rejects_integer_literal_too_long_to_convert():
+    with pytest.raises(ConfigError, match="config: malformed JSON"):
+        parse_config('{"kind": "sample", "seed": ' + "9" * 5000 + "}")
