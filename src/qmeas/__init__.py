@@ -49,6 +49,7 @@ from .operators import (
 from .povm import (
     BivariatePovm,
     OutcomeDistribution,
+    OutcomeGrid,
     Povm,
     PovmValidationError,
     QuadrivariatePovm,

@@ -173,14 +173,16 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a UTF-8 JSON experiment configuration."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise ConfigError(f"config: malformed JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     if "kind" not in raw:
         raise ConfigError("kind: required field missing")
     kind = raw["kind"]
-    if not isinstance(kind, str) or kind not in KINDS:
+    if not isinstance(kind, str):
+        _fail("kind", f"expected a string, got {type(kind).__name__}")
+    if kind not in KINDS:
         raise ConfigError(f"kind: unknown kind {kind!r}, expected one of {', '.join(KINDS)}")
     spec = KINDS[kind]
     unknown = sorted(set(raw) - spec.fields - {"kind"})

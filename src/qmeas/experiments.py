@@ -172,22 +172,9 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
 def eprbell_povm(c: EprBellConfig) -> QuadrivariatePovm:
     """16-outcome grid of the two-arm experiment: per-cell tensor products
     of the arms' which-way effects (arm 1 as the slow factor)."""
-    r1 = whichway_povm(c.arm1)
-    r2 = whichway_povm(c.arm2)
-    grid = [
-        [
-            [
-                [
-                    tensor_product(Operator(r1.grid[m1, n1]), Operator(r2.grid[m2, n2]))
-                    for n2 in range(2)
-                ]
-                for m2 in range(2)
-            ]
-            for n1 in range(2)
-        ]
-        for m1 in range(2)
-    ]
-    return QuadrivariatePovm(grid)
+    arm1, arm2 = (whichway_povm(arm).grid.reshape(-1, 2, 2) for arm in (c.arm1, c.arm2))
+    cells = [tensor_product(Operator(e1), Operator(e2)) for e1 in arm1 for e2 in arm2]
+    return QuadrivariatePovm(np.array(cells, dtype=object).reshape(2, 2, 2, 2))
 
 
 def _pair_correlation(probs: np.ndarray, axis_a: int, axis_b: int) -> float:

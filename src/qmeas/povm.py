@@ -1,10 +1,12 @@
 """Generalized observables: validated POVMs and outcome grids.
 
-A POVM is an ordered list of positive effects resolving the identity.  The
-bivariate and quadrivariate grids index effects by tuples of detector
-outcomes ("+" detection, "-" no detection); flattening any grid row-major
-must again give a valid POVM.  Validation is eager so invalid effect lists
-cannot be represented.
+A POVM is an ordered list of positive effects resolving the identity.  An
+outcome grid indexes effects by a tuple of detector outcomes, one per named
+axis ("+" detection, "-" no detection): the which-way 2x2 grid
+(`BivariatePovm`) and the two-photon 2x2x2x2 grid (`QuadrivariatePovm`) are
+the same N-axis `OutcomeGrid`.  Flattening a grid row-major must again give a
+valid POVM, and `marginal(grid, keep)` sums out every axis not kept.
+Validation is eager so invalid effect lists cannot be represented.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from .states import DensityOperator, Pvm, expectation
 __all__ = [
     "BivariatePovm",
     "OutcomeDistribution",
+    "OutcomeGrid",
     "Povm",
     "PovmValidationError",
     "QuadrivariatePovm",
@@ -30,9 +33,6 @@ __all__ = [
     "marginal_pair",
     "validate_povm",
 ]
-
-QUAD_AXIS_NAMES = ("m1", "n1", "m2", "n2")
-
 
 class PovmValidationError(ValidationError):
     """Effect list fails positivity, closure or dimension requirements."""
@@ -112,138 +112,123 @@ def is_pvm(p: Povm, tol: float = HERMITICITY_TOL) -> bool:
     return True
 
 
-class BivariatePovm:
-    """rows x cols grid of effects whose row-major flattening is a valid POVM."""
+def _row_major(cells, depth: int):
+    """Row-major cells of a nested sequence `depth` levels deep, and its
+    shape (None when sub-sequences of one level differ in length)."""
+    if depth == 0:
+        return [cells], ()
+    parts = [_row_major(c, depth - 1) for c in cells]
+    shapes = {shape for _, shape in parts}
+    shape = (len(parts), *shapes.pop()) if len(shapes) == 1 and None not in shapes else None
+    return [e for flat, _ in parts for e in flat], shape
 
-    __slots__ = ("grid", "row_labels", "col_labels")
 
-    def __init__(self, grid, row_labels, col_labels, tol: float = HERMITICITY_TOL):
-        rows = [tuple(r) for r in grid]
-        flat = [e for r in rows for e in r]
-        _check_effects(flat, tol)
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+class OutcomeGrid:
+    """Effects indexed by one outcome per named axis (class attribute AXES),
+    stacked read-only as (*shape, dim, dim); the row-major cells must form a
+    valid POVM.  Missing labels default to "+", "-" on axes of length <= 2."""
+
+    __slots__ = ("grid", "axis_labels")
+    AXES = ()
+
+    def __init__(self, cells, axis_labels=None, tol: float = HERMITICITY_TOL):
+        flat, shape = _row_major(cells, len(self.AXES))
+        flat = _check_effects(flat, tol)
+        if shape is None:
             raise PovmValidationError("grid rows must have uniform length")
-        stacked = np.stack([np.stack([e.mat for e in r]) for r in rows])
+        stacked = np.stack([e.mat for e in flat]).reshape(*shape, flat[0].dim, flat[0].dim)
         stacked.flags.writeable = False
-        self.grid = stacked  # (rows, cols, dim, dim)
-        self.row_labels = tuple(str(x) for x in row_labels)
-        self.col_labels = tuple(str(x) for x in col_labels)
-        if len(self.row_labels) != len(rows) or len(self.col_labels) != ncols:
+        self.grid = stacked
+        if axis_labels is None:
+            axis_labels = [("+", "-")[:n] if n <= 2 else range(n) for n in shape]
+        self.axis_labels = tuple(tuple(str(x) for x in ax) for ax in axis_labels)
+        if tuple(len(ax) for ax in self.axis_labels) != shape:
             raise PovmValidationError("label lengths must match the grid shape")
 
     @property
     def shape(self) -> tuple:
-        return self.grid.shape[:2]
+        return self.grid.shape[:-2]
 
     @property
     def dim(self) -> int:
         return self.grid.shape[-1]
 
-    def effect(self, m: int, n: int) -> Operator:
-        return Operator(self.grid[m, n])
+    def effect(self, *idx) -> Operator:
+        return Operator(self.grid[idx])
 
     def flatten(self) -> Povm:
-        rows, cols = self.shape
-        effects = [Operator(self.grid[m, n]) for m in range(rows) for n in range(cols)]
-        labels = [
-            f"{self.row_labels[m]},{self.col_labels[n]}" for m in range(rows) for n in range(cols)
-        ]
+        effects, labels = [], []
+        for idx in np.ndindex(self.shape):
+            effects.append(Operator(self.grid[idx]))
+            labels.append(",".join(ax[k] for ax, k in zip(self.axis_labels, idx)))
         return Povm(effects, labels)
 
     def __repr__(self):
-        return f"BivariatePovm(shape={self.shape}, dim={self.dim})"
+        return f"{type(self).__name__}(shape={self.shape}, dim={self.dim})"
 
 
-def marginal(b: BivariatePovm, axis: str) -> Povm:
-    """Marginal POVM of a bivariate grid: axis="row" keeps the row outcomes
-    (summing each row across columns), axis="col" the column outcomes."""
-    if axis == "row":
-        sums = b.grid.sum(axis=1)
-        labels = b.row_labels
-    elif axis == "col":
-        sums = b.grid.sum(axis=0)
-        labels = b.col_labels
-    else:
-        raise ValidationError(f'axis must be "row" or "col", got {axis!r}')
-    return Povm([Operator(s) for s in sums], labels)
+class BivariatePovm(OutcomeGrid):
+    """rows x cols grid of effects whose row-major flattening is a valid POVM."""
+
+    __slots__ = ()
+    AXES = ("row", "col")
+
+    def __init__(self, grid, row_labels, col_labels, tol: float = HERMITICITY_TOL):
+        super().__init__(grid, (row_labels, col_labels), tol)
+
+    flatten = OutcomeGrid.flatten  # own entry: the bench tracer wraps `flatten` per class
+
+    @property
+    def row_labels(self) -> tuple:
+        return self.axis_labels[0]
+
+    @property
+    def col_labels(self) -> tuple:
+        return self.axis_labels[1]
 
 
-class QuadrivariatePovm:
+class QuadrivariatePovm(OutcomeGrid):
     """2x2x2x2 grid of effects on the two-photon space, axes (m1, n1, m2, n2)."""
 
-    __slots__ = ("grid", "axis_labels")
+    __slots__ = ()
+    AXES = ("m1", "n1", "m2", "n2")
 
     def __init__(self, grid, axis_labels=None, tol: float = HERMITICITY_TOL):
-        cells = [
-            [[tuple(inner) for inner in outer2] for outer2 in outer1] for outer1 in grid
-        ]
-        flat = [e for o1 in cells for o2 in o1 for inner in o2 for e in inner]
-        _check_effects(flat, tol)
-        stacked = np.stack(
-            [
-                np.stack([np.stack([np.stack([e.mat for e in inner]) for inner in o2]) for o2 in o1])
-                for o1 in cells
-            ]
-        )
-        stacked.flags.writeable = False
-        self.grid = stacked  # (s1, s2, s3, s4, dim, dim)
-        if axis_labels is None:
-            axis_labels = tuple(
-                tuple(("+", "-")[:n]) if n <= 2 else tuple(str(k) for k in range(n))
-                for n in stacked.shape[:4]
-            )
-        self.axis_labels = tuple(tuple(str(x) for x in ax) for ax in axis_labels)
-        for k, ax in enumerate(self.axis_labels):
-            if len(ax) != stacked.shape[k]:
-                raise PovmValidationError(f"axis {QUAD_AXIS_NAMES[k]} labels mismatch grid shape")
+        super().__init__(grid, axis_labels, tol)
 
-    @property
-    def shape(self) -> tuple:
-        return self.grid.shape[:4]
-
-    @property
-    def dim(self) -> int:
-        return self.grid.shape[-1]
-
-    def effect(self, m1: int, n1: int, m2: int, n2: int) -> Operator:
-        return Operator(self.grid[m1, n1, m2, n2])
-
-    def flatten(self) -> Povm:
-        s = self.shape
-        effects, labels = [], []
-        for idx in np.ndindex(s):
-            effects.append(Operator(self.grid[idx]))
-            labels.append(",".join(self.axis_labels[k][idx[k]] for k in range(4)))
-        return Povm(effects, labels)
-
-    def __repr__(self):
-        return f"QuadrivariatePovm(shape={self.shape}, dim={self.dim})"
+    flatten = OutcomeGrid.flatten  # own entry: the bench tracer wraps `flatten` per class
 
 
-def _resolve_axis(axis) -> int:
-    if isinstance(axis, str):
-        if axis not in QUAD_AXIS_NAMES:
-            raise ValidationError(f"unknown axis {axis!r}, expected one of {QUAD_AXIS_NAMES}")
-        return QUAD_AXIS_NAMES.index(axis)
-    axis = int(axis)
-    if not 0 <= axis <= 3:
-        raise ValidationError(f"axis index {axis} out of range 0..3")
-    return axis
+def marginal(grid: OutcomeGrid, keep):
+    """Marginal of an outcome grid, summing effects over the axes not kept.
+
+    `keep` is one axis, by name (e.g. "row", "m1") or index, giving a Povm,
+    or an ordered pair of distinct axes, giving a BivariatePovm whose rows
+    are the first axis of the pair.
+    """
+    keep = (keep,) if isinstance(keep, (str, int, np.integer)) else tuple(keep)
+    axes = []
+    for a in keep:
+        k = grid.AXES.index(a) if a in grid.AXES else a
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < len(grid.AXES):
+            raise ValidationError(f"unknown axis {a!r}, expected one of {grid.AXES} or an index")
+        axes.append(int(k))
+    if len(set(axes)) != len(axes):
+        raise ValidationError(f"marginal axes must be distinct, got {keep[0]!r} twice")
+    if len(axes) not in (1, 2):
+        raise ValidationError(f"keep one axis or a pair of axes, got {len(axes)}")
+    summed = grid.grid.sum(axis=tuple(k for k in range(len(grid.AXES)) if k not in axes))
+    order = sorted(axes)  # the axes `sum` leaves, in ascending order
+    summed = summed.transpose([order.index(k) for k in axes] + [len(axes), len(axes) + 1])
+    labels = [grid.axis_labels[k] for k in axes]
+    if len(axes) == 1:
+        return Povm([Operator(s) for s in summed], labels[0])
+    return BivariatePovm([[Operator(s) for s in row] for row in summed], *labels)
 
 
 def marginal_pair(q: QuadrivariatePovm, axis_i, axis_j) -> BivariatePovm:
-    """Bivariate marginal keeping two distinct axes (rows = axis_i, cols = axis_j),
-    summing effects over the remaining two."""
-    i, j = _resolve_axis(axis_i), _resolve_axis(axis_j)
-    if i == j:
-        raise ValidationError(f"marginal axes must be distinct, got {axis_i!r} twice")
-    others = tuple(k for k in range(4) if k not in (i, j))
-    summed = q.grid.sum(axis=others)  # remaining axes keep ascending order
-    if i > j:
-        summed = summed.swapaxes(0, 1)
-    rows = [[Operator(summed[a, b]) for b in range(summed.shape[1])] for a in range(summed.shape[0])]
-    return BivariatePovm(rows, q.axis_labels[i], q.axis_labels[j])
+    """Bivariate marginal keeping two distinct axes (rows = axis_i, cols = axis_j)."""
+    return marginal(q, (axis_i, axis_j))
 
 
 class OutcomeDistribution:
@@ -278,16 +263,15 @@ class OutcomeDistribution:
 def distribution(rho: DensityOperator, p) -> OutcomeDistribution:
     """Outcome probabilities Tr(rho E) for a Povm or an outcome grid.
 
-    The result is shaped like the POVM: flat for Povm, (rows, cols) for
-    BivariatePovm, (2,2,2,2) for QuadrivariatePovm.
+    The result is shaped like the POVM: flat for Povm, the grid's shape for
+    an OutcomeGrid.
     """
     if isinstance(p, Povm):
         probs = np.array([expectation(rho, e) for e in p.effects])
-    elif isinstance(p, (BivariatePovm, QuadrivariatePovm)):
-        shape = p.shape
+    elif isinstance(p, OutcomeGrid):
         probs = np.array(
-            [expectation(rho, Operator(p.grid[idx])) for idx in np.ndindex(shape)]
-        ).reshape(shape)
+            [expectation(rho, Operator(p.grid[idx])) for idx in np.ndindex(p.shape)]
+        ).reshape(p.shape)
     else:
         raise ValidationError(f"unsupported POVM type {type(p).__name__}")
     return OutcomeDistribution(probs)

@@ -290,7 +290,8 @@ HAMILTONIAN = [[[0, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 0]
 KIND_LIST = "whichway, martens-sweep, epr-bell, chsh-pasted, premeasure, sample"
 
 # Exit code and exact stderr of `qmeas run` on malformed configs, as the CLI
-# reported them before its kinds were folded into one table.
+# reported them before its kinds were folded into one table, except that a
+# non-string kind is now reported by its type rather than echoed.
 ERROR_CONTRACT = [
     ("malformed-json", '{"kind": "whichway", ', [], 1,
      "config: malformed JSON (Expecting property name enclosed in double quotes: "
@@ -300,7 +301,7 @@ ERROR_CONTRACT = [
     ("unknown-kind", shipped("whichway", kind="teleport"), [], 1,
      f"kind: unknown kind 'teleport', expected one of {KIND_LIST}"),
     ("non-string-kind", shipped("whichway", kind=["whichway"]), [], 1,
-     f"kind: unknown kind ['whichway'], expected one of {KIND_LIST}"),
+     "kind: expected a string, got list"),
     ("missing-field", shipped("whichway", drop=["gamma"]), [], 1,
      "gamma: required field missing"),
     ("null-integer", shipped("sample", n_samples=None), [], 1,
@@ -435,6 +436,19 @@ def test_main_reports_undecodable_config_as_config_error(tmp_path, capsys):
     path.write_bytes(b'{"kind": "\xff"}')
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+
+
+def test_main_reports_nan_kind_by_type(tmp_path, capsys):
+    code, out, err = run_main(tmp_path, capsys, shipped("whichway", kind=NAN), "validate")
+    assert (code, out, err) == (1, "", "config error: kind: expected a string, got float\n")
+    assert "nan" not in err.lower()
+
+
+def test_main_reports_too_deep_nesting_as_malformed_json(tmp_path, capsys):
+    text = '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    code, out, err = run_main(tmp_path, capsys, text, "validate")
+    assert (code, out) == (1, "")
+    assert err.startswith("config error: config: malformed JSON (maximum recursion depth")
 
 
 def test_parse_rejects_integer_literal_too_long_to_convert():

@@ -166,6 +166,17 @@ def test_eprbell_cross_arm_marginal_is_arm_grid():
         assert np.abs(pair.grid[m1, n1] - expected).max() < 1e-12
 
 
+def test_eprbell_grid_is_exact_per_cell_kron_of_arm_grids():
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        arms = [WhichWayConfig(*rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 1)) for _ in "12"]
+        r1, r2 = (whichway_povm(arm).grid for arm in arms)
+        expected = np.empty((2, 2, 2, 2, 4, 4), dtype=np.complex128)
+        for m1, n1, m2, n2 in np.ndindex(2, 2, 2, 2):
+            expected[m1, n1, m2, n2] = np.kron(r1[m1, n1], r2[m2, n2])
+        assert np.array_equal(eprbell_povm(EprBellConfig(*arms)).grid, expected)
+
+
 def test_single_setup_never_violates():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from qmeas.operators import DimensionMismatchError, identity, zeros
 from qmeas.povm import (
+    BivariatePovm,
     OutcomeDistribution,
     Povm,
     PovmValidationError,
+    QuadrivariatePovm,
     distribution,
     is_pvm,
     marginal,
@@ -184,6 +186,60 @@ def test_marginal_pair_at_full_transmission():
 def test_marginal_pair_rejects_identical_axes():
     with pytest.raises(Exception, match="distinct"):
         marginal_pair(_example_quad(), "m1", "m1")
+
+
+def test_single_axis_marginal_of_quad_is_arm_marginal_times_identity():
+    quad = _example_quad(0.4, 0.7)
+    m1 = marginal(quad, "m1")
+    arm1 = marginal(whichway_povm(WhichWayConfig(0.0, np.pi / 4, 0.4)), "row")
+    assert m1.outcome_labels == arm1.outcome_labels
+    for got, want in zip(m1.effects, arm1.effects):
+        assert np.abs(got.mat - np.kron(want.mat, np.eye(2))).max() < 1e-12
+    assert np.array_equal(marginal(quad, 0).effects[1].mat, m1.effects[1].mat)
+
+
+def test_pair_marginal_in_reverse_order_is_the_axis_swap():
+    quad = _example_quad()
+    forward = marginal(quad, ("m1", "m2"))
+    backward = marginal(quad, ("m2", "m1"))
+    assert np.array_equal(backward.grid, forward.grid.swapaxes(0, 1))
+    assert np.array_equal(marginal_pair(quad, "m2", "m1").grid, backward.grid)
+
+
+def test_marginal_rejects_unknown_axes_and_too_many_axes():
+    quad = _example_quad()
+    for keep in ("row", 4, ("m1", "x")):
+        with pytest.raises(Exception, match="unknown axis"):
+            marginal(quad, keep)
+    with pytest.raises(Exception, match="pair"):
+        marginal(quad, ("m1", "n1", "m2"))
+
+
+def _quad_cells():
+    """Nested lists of 16 equal cells forming a valid 2x2x2x2 grid on dimension 4."""
+    return np.array([identity(4) * (1 / 16)] * 16, dtype=object).reshape(2, 2, 2, 2).tolist()
+
+
+def test_grids_reject_ragged_cells():
+    # the flat cells form a valid POVM; only the nesting is ragged
+    e = polarization_projector(0.3)
+    with pytest.raises(PovmValidationError, match="uniform"):
+        BivariatePovm([[e, zeros(2), zeros(2)], [identity(2) - e]], ["+", "-"], ["+", "-"])
+    cells = _quad_cells()
+    cells[1][1][1] = cells[1][1][1] + [zeros(4)]
+    with pytest.raises(PovmValidationError, match="uniform"):
+        QuadrivariatePovm(cells)
+
+
+def test_grids_reject_label_length_mismatch():
+    e = polarization_projector(0.3)
+    cells = [[e, zeros(2)], [zeros(2), identity(2) - e]]
+    with pytest.raises(PovmValidationError, match="label"):
+        BivariatePovm(cells, ["+", "-", "?"], ["+", "-"])
+    quad = _quad_cells()
+    assert QuadrivariatePovm(quad).axis_labels == (("+", "-"),) * 4
+    with pytest.raises(PovmValidationError, match="label"):
+        QuadrivariatePovm(quad, [("+", "-"), ("+", "-"), ("+", "-"), ("+",)])
 
 
 def test_marginalization_commutes_with_distribution():
