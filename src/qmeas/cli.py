@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    CHSH_BOUND_TOL,
     EprBellConfig,
     WhichWayConfig,
     chsh_pasted_aspect,
@@ -43,7 +44,6 @@ from .states import DensityOperator, Pvm, maximally_mixed, pure_state
 
 __all__ = ["ConfigError", "ExperimentConfig", "ResultTable", "emit", "main", "parse_config", "run"]
 
-CHSH_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
 
 # Documented limits, checked at parse time so that no config field can make a run
@@ -242,7 +242,7 @@ def _run_eprbell(p, tol) -> list:
     probs = distribution(p.state, eprbell_povm(p.config)).probabilities
     result = chsh_single_setup(p.state, p.config)
     s = result.s_value
-    if abs(s) > 2.0 + (tol if tol is not None else CHSH_TOL):
+    if abs(s) > 2.0 + (tol if tol is not None else CHSH_BOUND_TOL):
         raise ValidationError(f"single-setup CHSH {s:.12g} exceeds the classical bound 2")
     return [[*probs.reshape(-1), *result.correlations, s]]
 

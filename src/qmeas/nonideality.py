@@ -44,8 +44,10 @@ __all__ = [
 ]
 
 COLUMN_SUM_TOL = 1e-7
+NEGATIVE_ENTRY_TOL = 1e-9
 GRADIENT_MAP_TOL = 1e-10
 MAX_SOLVER_ITERATIONS = 100_000
+JOINT_RESIDUAL_TOL = 1e-6
 MARTENS_SLACK_TOL = 1e-6
 
 
@@ -78,8 +80,11 @@ class NonidealityMatrix:
         arr = np.array(self.lam, dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError(f"nonideality matrix must be 2-d, got shape {arr.shape}")
-        if arr.min() < -1e-9:
-            raise ValidationError(f"nonideality entry {arr.min():.3e} below -1e-09")
+        if not (np.all(np.isfinite(arr)) and math.isfinite(self.residual)):
+            raise ValidationError("nonideality entries and residual must be finite (no NaN/Inf)")
+        low = arr.min()
+        if low < -NEGATIVE_ENTRY_TOL:
+            raise ValidationError(f"nonideality entry {low:.3e} below -{NEGATIVE_ENTRY_TOL:.0e}")
         colsums = arr.sum(axis=0)
         worst = float(np.abs(colsums - 1.0).max())
         if worst > COLUMN_SUM_TOL:
@@ -112,35 +117,26 @@ class InequalityReport:
         return cls(lhs=lhs, rhs=rhs, satisfied=slack >= -tol, slack=slack, tol=tol)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    srt = np.sort(v)[::-1]
-    css = np.cumsum(srt)
-    ks = np.arange(1, v.size + 1)
-    rho = ks[srt * ks > css - 1.0][-1]
-    tau = (css[rho - 1] - 1.0) / rho
-    return np.maximum(v - tau, 0.0)
-
-
 def _project_columns(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        out[:, j] = _project_simplex(x[:, j])
-    return out
+    """Euclidean projection of each column onto the probability simplex, by
+    one sort along axis 0 (Duchi et al., ICML 2008)."""
+    srt = np.sort(x, axis=0)[::-1]
+    css = np.cumsum(srt, axis=0)
+    ks = np.arange(1, x.shape[0] + 1)[:, None]
+    # rho = the last k with srt[k-1] * k > css[k-1] - 1; k = 1 always qualifies.
+    rho = x.shape[0] - np.argmax((srt * ks > css - 1.0)[::-1], axis=0)
+    tau = (css[rho - 1, np.arange(x.shape[1])] - 1.0) / rho
+    return np.maximum(x - tau, 0.0)
 
 
-def recover_nonideality(
-    m: Povm,
-    n: Povm,
-    grad_tol: float = GRADIENT_MAP_TOL,
-    max_iter: int = MAX_SOLVER_ITERATIONS,
-) -> NonidealityMatrix:
+def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
     """Best column-stochastic lam with M_k ~ sum_j lam[k,j] N_j, least squares.
 
     Projected gradient descent on the product of per-column probability
     simplices; the objective is a small convex quadratic, so a step of
     1/L with backtracking converges fast at these sizes.  A residual near
     zero (< 1e-7) certifies that m really is a nonideal version of n.
+    Raises RecoveryError after MAX_SOLVER_ITERATIONS, read at call time.
     """
     if m.dim != n.dim:
         raise DimensionMismatchError(f"POVM dimensions differ: {m.dim} vs {n.dim}")
@@ -166,7 +162,7 @@ def recover_nonideality(
     lam = np.full((rows, cols), 1.0 / rows)
     f_lam = objective(lam)
     best, best_f = lam, f_lam
-    for _ in range(max_iter):
+    for _ in range(MAX_SOLVER_ITERATIONS):
         grad = 2.0 * (lam @ gram - cross)
         while True:
             cand = _project_columns(lam - step * grad)
@@ -180,11 +176,11 @@ def recover_nonideality(
         lam, f_lam = cand, f_cand
         if f_lam < best_f:
             best, best_f = lam, f_lam
-        if gap < grad_tol:
+        if gap < GRADIENT_MAP_TOL:
             return NonidealityMatrix(lam=lam, residual=direct_residual(lam))
     best_residual = direct_residual(best)
     raise RecoveryError(
-        f"recovery did not converge within {max_iter} iterations "
+        f"recovery did not converge within {MAX_SOLVER_ITERATIONS} iterations "
         f"(best residual {best_residual:.3e})",
         best=best,
         residual=best_residual,
@@ -229,13 +225,7 @@ def martens_bound(e: Pvm, f: Pvm) -> float:
     return -math.log(mx)
 
 
-def check_martens(
-    r: BivariatePovm,
-    e: Pvm,
-    f: Pvm,
-    residual_tol: float = 1e-6,
-    slack_tol: float = MARTENS_SLACK_TOL,
-) -> InequalityReport:
+def check_martens(r: BivariatePovm, e: Pvm, f: Pvm) -> InequalityReport:
     """Evaluate J_lam + J_mu >= overlap bound for a joint nonideal measurement.
 
     The slack tolerance is looser than elsewhere (1e-6) because the entropy
@@ -243,29 +233,24 @@ def check_martens(
     """
     lam, mu = joint_nonideal_decomposition(r, e, f)
     for name, rec in (("row", lam), ("col", mu)):
-        if rec.residual > residual_tol:
+        if rec.residual > JOINT_RESIDUAL_TOL:
             raise NotJointMeasurementError(
                 f"not a joint nonideal measurement of the targets: {name}-marginal "
-                f"recovery residual {rec.residual:.3e} > {residual_tol:.0e}"
+                f"recovery residual {rec.residual:.3e} > {JOINT_RESIDUAL_TOL:.0e}"
             )
     lhs = row_entropy_measure(lam) + row_entropy_measure(mu)
-    return InequalityReport.from_sides(lhs, martens_bound(e, f), tol=slack_tol)
+    return InequalityReport.from_sides(lhs, martens_bound(e, f), tol=MARTENS_SLACK_TOL)
 
 
-def check_heisenberg(
-    rho: DensityOperator,
-    a: Operator,
-    b: Operator,
-    tol: float = HERMITICITY_TOL,
-) -> InequalityReport:
+def check_heisenberg(rho: DensityOperator, a: Operator, b: Operator) -> InequalityReport:
     """Robertson uncertainty product: dA dB >= |Tr rho [A,B]| / 2."""
     if not (rho.dim == a.dim == b.dim):
         raise DimensionMismatchError(
             f"dimensions differ: state {rho.dim}, operands {a.dim} and {b.dim}"
         )
-    _require_hermitian(a, tol, "first observable")
-    _require_hermitian(b, tol, "second observable")
+    _require_hermitian(a, HERMITICITY_TOL, "first observable")
+    _require_hermitian(b, HERMITICITY_TOL, "second observable")
     lhs = std_dev(rho, a) * std_dev(rho, b)
     commutator = a.mat @ b.mat - b.mat @ a.mat
     rhs = 0.5 * abs(complex(np.trace(rho.mat @ commutator)))
-    return InequalityReport.from_sides(lhs, rhs, tol=tol)
+    return InequalityReport.from_sides(lhs, rhs, tol=HERMITICITY_TOL)

@@ -78,12 +78,8 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self._mat))
 
-    def tensor(self, other: "Operator") -> "Operator":
-        """Kronecker product, self as the slow (left) factor."""
-        return Operator(np.kron(self._mat, other._mat))
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.abs(self._mat - self._mat.conj().T).max() <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.abs(self._mat - self._mat.conj().T).max() <= HERMITICITY_TOL)
 
     def _require_same_dim(self, other: "Operator"):
         if self.dim != other.dim:
@@ -131,7 +127,7 @@ def zeros(dim: int) -> Operator:
 
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product with `a` as the slow (left) index."""
-    return a.tensor(b)
+    return Operator(np.kron(a.mat, b.mat))
 
 
 def partial_trace_second(m: Operator, dim_first: int, dim_second: int) -> Operator:
@@ -214,17 +210,16 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def exp_hermitian_generator(h: Operator, t: float, tol: float = HERMITICITY_TOL) -> Operator:
+def exp_hermitian_generator(h: Operator, t: float) -> Operator:
     """Unitary exp(-i h t) from the spectral decomposition of Hermitian h."""
-    eig = herm_eig(h, tol=tol)
+    eig = herm_eig(h)
     phases = np.exp(-1j * eig.eigenvalues * t)
     vecs = eig.eigenvectors
     return Operator((vecs * phases) @ vecs.conj().T)
 
 
-def is_positive_semidefinite(m: Operator, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff m is Hermitian within tol and all eigenvalues are >= -tol."""
-    if not m.is_hermitian(tol):
+def is_positive_semidefinite(m: Operator) -> bool:
+    """True iff m is Hermitian and all eigenvalues are >= -tol, with tol = HERMITICITY_TOL."""
+    if not m.is_hermitian():
         return False
-    eig = herm_eig(m, tol=tol)
-    return bool(eig.eigenvalues[0] >= -tol)
+    return bool(herm_eig(m).eigenvalues[0] >= -HERMITICITY_TOL)

@@ -47,7 +47,7 @@ def _check_effects(effects, tol: float):
     effects = tuple(effects)
     if not effects:
         raise PovmValidationError("POVM needs at least one effect")
-    dim = effects[0].dim
+    dim = effects[0].dim if isinstance(effects[0], Operator) else None
     for k, e in enumerate(effects):
         if not isinstance(e, Operator):
             raise PovmValidationError(f"effect {k} is not an Operator")
@@ -104,10 +104,10 @@ def validate_povm(effects, outcome_labels=None, tol: float = HERMITICITY_TOL) ->
     return Povm(effects, outcome_labels, tol=tol)
 
 
-def is_pvm(p: Povm, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff every effect is idempotent, i.e. the POVM is projection-valued."""
+def is_pvm(p: Povm) -> bool:
+    """True iff every effect is idempotent within HERMITICITY_TOL: a PVM."""
     for e in p.effects:
-        if np.abs((e @ e).mat - e.mat).max() > tol:
+        if np.abs((e @ e).mat - e.mat).max() > HERMITICITY_TOL:
             return False
     return True
 
@@ -131,9 +131,9 @@ class OutcomeGrid:
     __slots__ = ("grid", "axis_labels")
     AXES = ()
 
-    def __init__(self, cells, axis_labels=None, tol: float = HERMITICITY_TOL):
+    def __init__(self, cells, axis_labels=None):
         flat, shape = _row_major(cells, len(self.AXES))
-        flat = _check_effects(flat, tol)
+        flat = _check_effects(flat, HERMITICITY_TOL)
         if shape is None:
             raise PovmValidationError("grid rows must have uniform length")
         stacked = np.stack([e.mat for e in flat]).reshape(*shape, flat[0].dim, flat[0].dim)
@@ -173,8 +173,8 @@ class BivariatePovm(OutcomeGrid):
     __slots__ = ()
     AXES = ("row", "col")
 
-    def __init__(self, grid, row_labels, col_labels, tol: float = HERMITICITY_TOL):
-        super().__init__(grid, (row_labels, col_labels), tol)
+    def __init__(self, grid, row_labels, col_labels):
+        super().__init__(grid, (row_labels, col_labels))
 
     flatten = OutcomeGrid.flatten  # own entry: the bench tracer wraps `flatten` per class
 
@@ -193,8 +193,8 @@ class QuadrivariatePovm(OutcomeGrid):
     __slots__ = ()
     AXES = ("m1", "n1", "m2", "n2")
 
-    def __init__(self, grid, axis_labels=None, tol: float = HERMITICITY_TOL):
-        super().__init__(grid, axis_labels, tol)
+    def __init__(self, grid, axis_labels=None):
+        super().__init__(grid, axis_labels)
 
     flatten = OutcomeGrid.flatten  # own entry: the bench tracer wraps `flatten` per class
 
@@ -235,19 +235,21 @@ class OutcomeDistribution:
     """Probability array matching a POVM's outcome shape.
 
     Raw expectation values are stored as computed; small negative round-off
-    (>= -1e-9) is legal here and only clamped in display paths.
+    (>= -HERMITICITY_TOL) is legal here and only clamped in display paths.
     """
 
     __slots__ = ("probabilities",)
 
-    def __init__(self, probabilities, tol: float = HERMITICITY_TOL):
+    def __init__(self, probabilities):
         arr = np.array(probabilities, dtype=np.float64)
         if arr.size == 0:
             raise ValidationError("distribution needs at least one outcome")
-        if arr.min() < -tol:
-            raise ValidationError(f"probability {arr.min():.3e} below -{tol:.0e}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("probabilities must be finite (no NaN/Inf)")
+        if arr.min() < -HERMITICITY_TOL:
+            raise ValidationError(f"probability {arr.min():.3e} below -{HERMITICITY_TOL:.0e}")
         total = float(arr.sum())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > HERMITICITY_TOL:
             raise ValidationError(f"probabilities sum to {total:.12g}, expected 1")
         arr.flags.writeable = False
         self.probabilities = arr

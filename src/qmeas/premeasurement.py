@@ -56,7 +56,6 @@ class PremeasurementModel:
         pointer: Pvm,
         dim_object: int,
         dim_apparatus: int,
-        tol: float = HERMITICITY_TOL,
     ):
         if dim_object < 1 or dim_apparatus < 1:
             raise ValidationError("factor dimensions must be positive")
@@ -65,7 +64,7 @@ class PremeasurementModel:
                 f"unitary dimension {u.dim} != {dim_object} * {dim_apparatus}"
             )
         unitarity = np.abs((u.adjoint() @ u).mat - np.eye(u.dim)).max()
-        if unitarity > tol:
+        if unitarity > HERMITICITY_TOL:
             raise ValidationError(f"joint operator is not unitary (residual {unitarity:.3e})")
         if rho_a.dim != dim_apparatus:
             raise DimensionMismatchError(
@@ -111,7 +110,7 @@ def evolve_joint(rho_o: DensityOperator, model: PremeasurementModel) -> DensityO
     return DensityOperator(model.u @ joint @ model.u.adjoint())
 
 
-def induced_povm(model: PremeasurementModel, tol: float = INDUCED_POVM_TOL) -> Povm:
+def induced_povm(model: PremeasurementModel) -> Povm:
     """Effective object POVM of the model.
 
     Each effect is the apparatus-side trace of the apparatus-state-weighted,
@@ -128,7 +127,7 @@ def induced_povm(model: PremeasurementModel, tol: float = INDUCED_POVM_TOL) -> P
         )
     labels = [f"{lab:g}" for lab in model.pointer.labels]
     try:
-        return validate_povm(effects, labels, tol=tol)
+        return validate_povm(effects, labels, tol=INDUCED_POVM_TOL)
     except PovmValidationError as exc:
         raise ModelInconsistencyError(f"induced effects violate POVM axioms: {exc}") from exc
 

@@ -45,22 +45,22 @@ class DensityOperator:
     """Positive-semidefinite unit-trace operator representing a preparation.
 
     Validation is eager: hermiticity, positivity and unit trace are checked
-    on construction (default tolerance 1e-9).
+    on construction, each within HERMITICITY_TOL.
     """
 
     __slots__ = ("op", "eig")
 
-    def __init__(self, op, tol: float = HERMITICITY_TOL):
+    def __init__(self, op):
         if not isinstance(op, Operator):
             op = Operator(op)
-        _require_hermitian(op, tol, "density operator")
-        eig = herm_eig(op, tol=tol)
-        if eig.eigenvalues[0] < -tol:
+        _require_hermitian(op, HERMITICITY_TOL, "density operator")
+        eig = herm_eig(op)
+        if eig.eigenvalues[0] < -HERMITICITY_TOL:
             raise ValidationError(
                 f"density operator has negative eigenvalue {eig.eigenvalues[0]:.3e}"
             )
         tr = op.trace()
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > HERMITICITY_TOL:
             raise ValidationError(f"density operator trace is {tr:.12g}, expected 1")
         self.op = op
         self.eig = eig  # spectral data, reused by variance computations
@@ -97,7 +97,7 @@ class Pvm:
 
     __slots__ = ("projectors", "labels")
 
-    def __init__(self, projectors, labels, tol: float = HERMITICITY_TOL):
+    def __init__(self, projectors, labels):
         projectors = tuple(projectors)
         labels = tuple(float(x) for x in labels)
         if not projectors:
@@ -108,20 +108,20 @@ class Pvm:
         for k, p in enumerate(projectors):
             if p.dim != dim:
                 raise DimensionMismatchError(f"projector {k} has dimension {p.dim}, expected {dim}")
-            _require_hermitian(p, tol, f"projector {k}")
+            _require_hermitian(p, HERMITICITY_TOL, f"projector {k}")
             idem = np.abs((p @ p).mat - p.mat).max()
-            if idem > tol:
+            if idem > HERMITICITY_TOL:
                 raise ValidationError(f"projector {k} is not idempotent (residual {idem:.3e})")
         for i in range(len(projectors)):
             for j in range(i + 1, len(projectors)):
                 cross = np.abs((projectors[i] @ projectors[j]).mat).max()
-                if cross > tol:
+                if cross > HERMITICITY_TOL:
                     raise ValidationError(
                         f"projectors {i} and {j} are not orthogonal (residual {cross:.3e})"
                     )
         total = sum((p.mat for p in projectors), start=np.zeros((dim, dim), dtype=np.complex128))
         closure = np.abs(total - np.eye(dim)).max()
-        if closure > tol:
+        if closure > HERMITICITY_TOL:
             raise ValidationError(f"projectors do not sum to identity (residual {closure:.3e})")
         self.projectors = projectors
         self.labels = labels
@@ -137,10 +137,10 @@ class Pvm:
         return f"Pvm(dim={self.dim}, outcomes={len(self)})"
 
 
-def spectral_pvm(a: Operator, cluster_tol: float = EIGENVALUE_CLUSTER_TOL) -> Pvm:
+def spectral_pvm(a: Operator) -> Pvm:
     """Spectral PVM of a Hermitian operator.
 
-    Eigenvalues closer than `cluster_tol` are treated as one degenerate
+    Eigenvalues closer than EIGENVALUE_CLUSTER_TOL are treated as one degenerate
     outcome; each outcome label is the mean of its cluster.
     """
     eig = herm_eig(a)
@@ -148,7 +148,7 @@ def spectral_pvm(a: Operator, cluster_tol: float = EIGENVALUE_CLUSTER_TOL) -> Pv
     projectors, labels = [], []
     start = 0
     for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > cluster_tol:
+        if k == len(vals) or vals[k] - vals[k - 1] > EIGENVALUE_CLUSTER_TOL:
             block = vecs[:, start:k]
             projectors.append(Operator(block @ block.conj().T))
             labels.append(float(vals[start:k].mean()))
@@ -156,13 +156,13 @@ def spectral_pvm(a: Operator, cluster_tol: float = EIGENVALUE_CLUSTER_TOL) -> Pv
     return Pvm(projectors, labels)
 
 
-def expectation(rho: DensityOperator, m: Operator, tol: float = HERMITICITY_TOL) -> float:
-    """Tr(rho m) for Hermitian m; the imaginary residue must stay below tol."""
+def expectation(rho: DensityOperator, m: Operator) -> float:
+    """Tr(rho m) for Hermitian m; the imaginary residue must stay below HERMITICITY_TOL."""
     if rho.dim != m.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} vs operator dim {m.dim}")
-    _require_hermitian(m, tol, "expectation operand")
+    _require_hermitian(m, HERMITICITY_TOL, "expectation operand")
     val = complex(np.trace(rho.mat @ m.mat))
-    if abs(val.imag) >= tol:
+    if abs(val.imag) >= HERMITICITY_TOL:
         raise ValidationError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmeas import nonideality
 from qmeas.cli import (
     KINDS,
     ConfigError,
@@ -375,6 +376,14 @@ def test_main_rejects_non_finite_tol(capsys, name, tol):
     assert main(["run", "--config", str(ROOT / "configs" / f"{name}.json"), f"--tol={tol}"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "config error: --tol: expected a finite number\n")
+
+
+def test_main_reports_recovery_non_convergence_as_solver_error(monkeypatch, capsys):
+    monkeypatch.setattr(nonideality, "MAX_SOLVER_ITERATIONS", 0)
+    assert main(["run", "--config", str(ROOT / "configs" / "whichway.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: recovery did not converge")
 
 
 def identity_premeasure(dim_o, dim_a):

@@ -6,10 +6,12 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeas import nonideality
 from qmeas.nonideality import (
     InequalityReport,
     NonidealityMatrix,
     NotJointMeasurementError,
+    RecoveryError,
     check_heisenberg,
     check_martens,
     joint_nonideal_decomposition,
@@ -101,6 +103,20 @@ def test_nonideality_matrix_validation():
         NonidealityMatrix(lam=np.array([[0.5, 0.0], [0.4, 1.0]]), residual=0.0)  # column sum
     with pytest.raises(ValidationError):
         NonidealityMatrix(lam=np.array([[1.1, 0.0], [-0.1, 1.0]]), residual=0.0)  # negative
+    for lam, residual in ([[np.nan], [0.5]], 0.0), ([[np.inf], [0.5]], 0.0), ([[1.0]], np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            NonidealityMatrix(lam=lam, residual=residual)
+
+
+def test_recovery_that_does_not_converge_raises_with_its_best_iterate(monkeypatch):
+    monkeypatch.setattr(nonideality, "MAX_SOLVER_ITERATIONS", 0)
+    grid = whichway_povm(WhichWayConfig(0.0, np.pi / 4, 0.5))
+    from qmeas.povm import marginal
+
+    with pytest.raises(RecoveryError, match="did not converge within 0 iterations") as exc:
+        recover_nonideality(marginal(grid, "row"), pvm_povm(0.0))
+    assert exc.value.best.shape == (2, 2)
+    assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
 
 
 def test_row_entropy_identity_is_zero():

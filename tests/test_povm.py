@@ -4,7 +4,7 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.operators import DimensionMismatchError, identity, zeros
+from qmeas.operators import DimensionMismatchError, ValidationError, identity, zeros
 from qmeas.povm import (
     BivariatePovm,
     OutcomeDistribution,
@@ -115,6 +115,14 @@ def test_outcome_distribution_validation():
         OutcomeDistribution([0.7, 0.7])
     with pytest.raises(Exception):
         OutcomeDistribution([1.5, -0.5])
+    for bad in (np.nan, np.inf, -np.inf):  # NaN passes every range check
+        with pytest.raises(ValidationError, match="finite"):
+            OutcomeDistribution([bad, 1.0])
+
+
+def test_povm_rejects_non_operator_effect_0():
+    with pytest.raises(PovmValidationError, match="effect 0 is not an Operator"):
+        Povm([np.eye(2)])
 
 
 def test_marginal_closure():
