@@ -5,78 +5,24 @@ nonideality via stochastic-matrix recovery and entropy measures, and
 numerically verifies the entropic joint-measurement bound, the Robertson
 uncertainty product, and the CHSH behavior of single-setup versus pasted
 two-photon experiments.
+
+Every name in a module's `__all__` is re-exported here.  `qmeas.cli` is
+not: importing the package stays free of the command-line layer.
 """
 
-from .experiments import (
-    ChshResult,
-    EprBellConfig,
-    SampleCheck,
-    SweepPoint,
-    WhichWayConfig,
-    chsh_pasted_aspect,
-    chsh_single_setup,
-    eprbell_povm,
-    martens_sweep,
-    quadruple_sample_check,
-    whichway_nonideality,
-    whichway_povm,
-)
-from .nonideality import (
-    InequalityReport,
-    NonidealityMatrix,
-    RecoveryError,
-    check_heisenberg,
-    check_martens,
-    joint_nonideal_decomposition,
-    martens_bound,
-    recover_nonideality,
-    row_entropy_measure,
-)
-from .operators import (
-    DimensionMismatchError,
-    HermitianEig,
-    Operator,
-    ValidationError,
-    exp_hermitian_generator,
-    herm_eig,
-    identity,
-    is_positive_semidefinite,
-    partial_trace_first,
-    partial_trace_second,
-    tensor_product,
-    zeros,
-)
-from .povm import (
-    BivariatePovm,
-    OutcomeDistribution,
-    OutcomeGrid,
-    Povm,
-    PovmValidationError,
-    QuadrivariatePovm,
-    distribution,
-    is_pvm,
-    marginal,
-    marginal_pair,
-    validate_povm,
-)
-from .premeasurement import (
-    ModelInconsistencyError,
-    PremeasurementModel,
-    evolve_joint,
-    induced_povm,
-    pointer_consistency,
-)
-from .states import (
-    DensityOperator,
-    Pvm,
-    entangled_pair_state,
-    expectation,
-    maximally_mixed,
-    polarization_projector,
-    polarization_pvm,
-    pure_state,
-    spectral_pvm,
-    std_dev,
-)
+from . import experiments, nonideality, operators, povm, premeasurement, sampling, states
+from .experiments import *  # noqa: F403
+from .nonideality import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .povm import *  # noqa: F403
+from .premeasurement import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .states import *  # noqa: F403
+
+__all__ = [
+    name
+    for module in (experiments, nonideality, operators, povm, premeasurement, sampling, states)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

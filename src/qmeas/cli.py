@@ -303,8 +303,8 @@ def _run_premeasure(p, tol) -> list:
         raise ValidationError(f"pointer consistency residual {residual:.3e} >= {limit:.0e}")
     return [
         (float(k), float(i), float(j), entry.real, entry.imag, residual)
-        for k, effect in enumerate(povm.effects)
-        for (i, j), entry in np.ndenumerate(effect.mat)
+        for k, effect in enumerate(povm.grid)
+        for (i, j), entry in np.ndenumerate(effect)
     ]
 
 

@@ -140,8 +140,7 @@ def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
     """
     if m.dim != n.dim:
         raise DimensionMismatchError(f"POVM dimensions differ: {m.dim} vs {n.dim}")
-    me = np.stack([e.mat for e in m.effects])
-    ne = np.stack([e.mat for e in n.effects])
+    me, ne = m.grid, n.grid
     # Frobenius inner products; all real since effects are Hermitian.
     gram = np.einsum("aij,bji->ab", ne, ne).real
     cross = np.einsum("mij,nji->mn", me, ne).real
@@ -158,7 +157,7 @@ def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
 
     lipschitz = 2.0 * float(herm_eig(Operator(gram)).eigenvalues[-1])
     step = 1.0 / lipschitz if lipschitz > 0 else 1.0
-    rows, cols = len(m.effects), len(n.effects)
+    rows, cols = len(m), len(n)
     lam = np.full((rows, cols), 1.0 / rows)
     f_lam = objective(lam)
     best, best_f = lam, f_lam
@@ -195,6 +194,8 @@ def row_entropy_measure(lam) -> float:
     0 ln 0 = 0).
     """
     arr = lam.lam if isinstance(lam, NonidealityMatrix) else np.asarray(lam, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("nonideality entries must be finite (no NaN/Inf)")
     rowsums = arr.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = arr / rowsums[:, None]

@@ -34,6 +34,9 @@ HERMITICITY_TOL = 1e-9
 
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
+# Entries below the smallest normal float are skipped: dividing by their
+# subnormal modulus overflows the rotation's phase to Inf/NaN.
+_JACOBI_SKIP_BELOW = np.finfo(np.float64).tiny
 
 
 class ValidationError(ValueError):
@@ -178,7 +181,8 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
 
     Each rotation zeroes one off-diagonal pair via a complex plane rotation;
     sweeps repeat until the off-diagonal Frobenius norm drops below 1e-12
-    (hard cap 100 sweeps, plenty for dimensions up to 16).
+    (hard cap 100 sweeps, plenty for dimensions up to 16).  Pairs whose
+    entry is zero or subnormal are skipped.
     """
     _require_hermitian(m, tol, "eigensolver input")
     n = m.dim
@@ -190,7 +194,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
         for p in range(n - 1):
             for q in range(p + 1, n):
                 r = abs(a[p, q])
-                if r == 0.0:
+                if r < _JACOBI_SKIP_BELOW:
                     continue
                 phase = a[p, q] / r
                 t = 0.5 * math.atan2(2.0 * r, a[p, p].real - a[q, q].real)

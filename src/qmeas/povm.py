@@ -2,10 +2,11 @@
 
 A POVM is an ordered list of positive effects resolving the identity.  An
 outcome grid indexes effects by a tuple of detector outcomes, one per named
-axis ("+" detection, "-" no detection): the which-way 2x2 grid
-(`BivariatePovm`) and the two-photon 2x2x2x2 grid (`QuadrivariatePovm`) are
-the same N-axis `OutcomeGrid`.  Flattening a grid row-major must again give a
-valid POVM, and `marginal(grid, keep)` sums out every axis not kept.
+axis ("+" detection, "-" no detection): a plain `Povm` (one axis), the
+which-way 2x2 grid (`BivariatePovm`) and the two-photon 2x2x2x2 grid
+(`QuadrivariatePovm`) are the same N-axis `OutcomeGrid`, each storing its
+effects once as a read-only stack.  Flattening a grid row-major must again
+give a valid POVM, and `marginal(grid, keep)` sums out every axis not kept.
 Validation is eager so invalid effect lists cannot be represented.
 """
 
@@ -68,50 +69,6 @@ def _check_effects(effects, tol: float):
     return effects
 
 
-class Povm:
-    """Ordered list of positive effects summing to identity."""
-
-    __slots__ = ("effects", "outcome_labels")
-
-    def __init__(self, effects, outcome_labels=None, tol: float = HERMITICITY_TOL):
-        effects = _check_effects(effects, tol)
-        if outcome_labels is None:
-            outcome_labels = tuple(str(k) for k in range(len(effects)))
-        else:
-            outcome_labels = tuple(str(x) for x in outcome_labels)
-            if len(outcome_labels) != len(effects):
-                raise PovmValidationError("outcome_labels length must match effects")
-        self.effects = effects
-        self.outcome_labels = outcome_labels
-
-    @classmethod
-    def from_pvm(cls, pvm: Pvm) -> "Povm":
-        return cls(pvm.projectors, [f"{lab:g}" for lab in pvm.labels])
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].dim
-
-    def __len__(self):
-        return len(self.effects)
-
-    def __repr__(self):
-        return f"Povm(dim={self.dim}, outcomes={len(self)})"
-
-
-def validate_povm(effects, outcome_labels=None, tol: float = HERMITICITY_TOL) -> Povm:
-    """Check the POVM axioms over an effect list and wrap it as a Povm."""
-    return Povm(effects, outcome_labels, tol=tol)
-
-
-def is_pvm(p: Povm) -> bool:
-    """True iff every effect is idempotent within HERMITICITY_TOL: a PVM."""
-    for e in p.effects:
-        if np.abs((e @ e).mat - e.mat).max() > HERMITICITY_TOL:
-            return False
-    return True
-
-
 def _row_major(cells, depth: int):
     """Row-major cells of a nested sequence `depth` levels deep, and its
     shape (None when sub-sequences of one level differ in length)."""
@@ -132,18 +89,22 @@ class OutcomeGrid:
     AXES = ()
 
     def __init__(self, cells, axis_labels=None):
+        self._build(cells, axis_labels, HERMITICITY_TOL, "label lengths must match the grid shape")
+
+    def _build(self, cells, axis_labels, tol: float, label_error: str):
+        """The one constructor body of every grid, `Povm` included."""
         flat, shape = _row_major(cells, len(self.AXES))
-        flat = _check_effects(flat, HERMITICITY_TOL)
+        flat = _check_effects(flat, tol)
         if shape is None:
             raise PovmValidationError("grid rows must have uniform length")
-        stacked = np.stack([e.mat for e in flat]).reshape(*shape, flat[0].dim, flat[0].dim)
+        stacked = np.array([e.mat for e in flat]).reshape(*shape, flat[0].dim, flat[0].dim)
         stacked.flags.writeable = False
         self.grid = stacked
         if axis_labels is None:
             axis_labels = [("+", "-")[:n] if n <= 2 else range(n) for n in shape]
         self.axis_labels = tuple(tuple(str(x) for x in ax) for ax in axis_labels)
         if tuple(len(ax) for ax in self.axis_labels) != shape:
-            raise PovmValidationError("label lengths must match the grid shape")
+            raise PovmValidationError(label_error)
 
     @property
     def shape(self) -> tuple:
@@ -156,7 +117,7 @@ class OutcomeGrid:
     def effect(self, *idx) -> Operator:
         return Operator(self.grid[idx])
 
-    def flatten(self) -> Povm:
+    def flatten(self) -> "Povm":
         effects, labels = [], []
         for idx in np.ndindex(self.shape):
             effects.append(Operator(self.grid[idx]))
@@ -165,6 +126,47 @@ class OutcomeGrid:
 
     def __repr__(self):
         return f"{type(self).__name__}(shape={self.shape}, dim={self.dim})"
+
+
+class Povm(OutcomeGrid):
+    """Ordered list of positive effects summing to identity: the one-axis
+    outcome grid, with outcome labels "0".."k-1" unless given."""
+
+    __slots__ = ()
+    AXES = ("outcome",)
+
+    def __init__(self, effects, outcome_labels=None, tol: float = HERMITICITY_TOL):
+        effects = tuple(effects)
+        labels = range(len(effects)) if outcome_labels is None else outcome_labels
+        self._build(effects, (labels,), tol, "outcome_labels length must match effects")
+
+    @classmethod
+    def from_pvm(cls, pvm: Pvm) -> "Povm":
+        return cls(pvm.projectors, [f"{lab:g}" for lab in pvm.labels])
+
+    @property
+    def effects(self) -> tuple:
+        return tuple(Operator(e) for e in self.grid)
+
+    @property
+    def outcome_labels(self) -> tuple:
+        return self.axis_labels[0]
+
+    def __len__(self):
+        return len(self.grid)
+
+    def __repr__(self):
+        return f"Povm(dim={self.dim}, outcomes={len(self)})"
+
+
+def validate_povm(effects, outcome_labels=None, tol: float = HERMITICITY_TOL) -> Povm:
+    """Check the POVM axioms over an effect list and wrap it as a Povm."""
+    return Povm(effects, outcome_labels, tol=tol)
+
+
+def is_pvm(p: Povm) -> bool:
+    """True iff every effect is idempotent within HERMITICITY_TOL: a PVM."""
+    return bool(np.abs(p.grid @ p.grid - p.grid).max() <= HERMITICITY_TOL)
 
 
 class BivariatePovm(OutcomeGrid):
@@ -213,8 +215,9 @@ def marginal(grid: OutcomeGrid, keep):
         if not isinstance(k, (int, np.integer)) or not 0 <= k < len(grid.AXES):
             raise ValidationError(f"unknown axis {a!r}, expected one of {grid.AXES} or an index")
         axes.append(int(k))
-    if len(set(axes)) != len(axes):
-        raise ValidationError(f"marginal axes must be distinct, got {keep[0]!r} twice")
+    repeats = [a for i, a in enumerate(keep) if axes[i] in axes[:i]]
+    if repeats:
+        raise ValidationError(f"marginal axes must be distinct, got {repeats[0]!r} twice")
     if len(axes) not in (1, 2):
         raise ValidationError(f"keep one axis or a pair of axes, got {len(axes)}")
     summed = grid.grid.sum(axis=tuple(k for k in range(len(grid.AXES)) if k not in axes))
@@ -263,17 +266,9 @@ class OutcomeDistribution:
 
 
 def distribution(rho: DensityOperator, p) -> OutcomeDistribution:
-    """Outcome probabilities Tr(rho E) for a Povm or an outcome grid.
-
-    The result is shaped like the POVM: flat for Povm, the grid's shape for
-    an OutcomeGrid.
-    """
-    if isinstance(p, Povm):
-        probs = np.array([expectation(rho, e) for e in p.effects])
-    elif isinstance(p, OutcomeGrid):
-        probs = np.array(
-            [expectation(rho, Operator(p.grid[idx])) for idx in np.ndindex(p.shape)]
-        ).reshape(p.shape)
-    else:
-        raise ValidationError(f"unsupported POVM type {type(p).__name__}")
+    """Outcome probabilities Tr(rho E) for a Povm or any other outcome grid,
+    shaped like the grid: flat for a Povm."""
+    probs = np.array(
+        [expectation(rho, Operator(p.grid[idx])) for idx in np.ndindex(p.shape)]
+    ).reshape(p.shape)
     return OutcomeDistribution(probs)

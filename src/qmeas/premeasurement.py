@@ -140,11 +140,10 @@ def pointer_consistency(rho_o: DensityOperator, model: PremeasurementModel) -> f
     signals an implementation inconsistency.
     """
     joint = evolve_joint(rho_o, model)
-    effects = induced_povm(model).effects
     eye_o = identity(model.dim_object)
     worst = 0.0
-    for proj, effect in zip(model.pointer.projectors, effects):
+    for proj, effect in zip(model.pointer.projectors, induced_povm(model).grid):
         direct = np.trace(joint.mat @ tensor_product(eye_o, proj).mat).real
-        via_povm = np.trace(rho_o.mat @ effect.mat).real
+        via_povm = np.trace(rho_o.mat @ effect).real
         worst = max(worst, abs(direct - via_povm))
     return worst

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qmeas import nonideality
 from qmeas.cli import (
@@ -386,12 +388,13 @@ def test_main_reports_recovery_non_convergence_as_solver_error(monkeypatch, caps
     assert captured.err.startswith("solver error: recovery did not converge")
 
 
+def pairs(m):
+    """A matrix as rows of [re, im] pairs, the config encoding."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
 def identity_premeasure(dim_o, dim_a):
     """A premeasure config with the identity interaction: valid for any dimensions."""
-
-    def pairs(m):
-        return [[[float(x), 0.0] for x in row] for row in m]
-
     basis = np.eye(dim_a)
     return {
         "kind": "premeasure",
@@ -463,3 +466,99 @@ def test_main_reports_too_deep_nesting_as_malformed_json(tmp_path, capsys):
 def test_parse_rejects_integer_literal_too_long_to_convert():
     with pytest.raises(ConfigError, match="config: malformed JSON"):
         parse_config('{"kind": "sample", "seed": ' + "9" * 5000 + "}")
+
+
+def hamiltonian_premeasure(dim_o, dim_a, scale=1.0):
+    """A premeasure config driven by a seeded random Hamiltonian H * scale for time 1 / scale,
+    the same physics at every scale."""
+    rng = np.random.default_rng([dim_o, dim_a])
+    g = rng.normal(size=(dim_o * dim_a,) * 2) + 1j * rng.normal(size=(dim_o * dim_a,) * 2)
+    config = identity_premeasure(dim_o, dim_a)
+    del config["unitary"]
+    return dict(config, hamiltonian=pairs(0.5 * (g + g.conj().T) * scale), time=1.0 / scale)
+
+
+def _csv_values(out):
+    return np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_premeasure_output_is_invariant_under_hamiltonian_rescaling(tmp_path, capsys, scale):
+    # (H * s, t / s) leaves the physics unchanged.  At d = 8 and s >= 1e4 the
+    # eigensolver used to return NaN and the run failed with a config error.
+    code, base, _ = run_main(tmp_path, capsys, json.dumps(hamiltonian_premeasure(2, 4)))
+    assert code == 0
+    code, out, err = run_main(tmp_path, capsys, json.dumps(hamiltonian_premeasure(2, 4, scale)))
+    assert (code, err) == (0, "")
+    assert np.abs(_csv_values(out) - _csv_values(base)).max() <= 1e-9
+
+
+def test_subnormal_angle_prints_what_angle_zero_prints(tmp_path, capsys):
+    # A subnormal angle leaves subnormal off-diagonal entries in the d = 4 cells,
+    # which the eigensolver used to rotate on (RuntimeWarnings, NaN eigenvalues).
+    code, out, err = run_main(tmp_path, capsys, shipped("epr_bell", theta1_prime_deg=1e-308))
+    assert (code, err) == (0, "")
+    assert out == run_main(tmp_path, capsys, shipped("epr_bell", theta1_prime_deg=0))[1]
+
+
+FUZZ_BASES = [json.loads(path.read_text(encoding="utf-8")) for path in SHIPPED] + [
+    hamiltonian_premeasure(2, 2)
+]
+# Fields whose size sets the work a run allocates: kept far below the ceilings.
+FUZZ_CAPS = {"n_samples": 10_000, "n_points": 50}
+SUBNORMALS = [5e-324, 1e-310, 1e-308, -1e-308]
+# No "n" in generated text, so a "nan" in stderr can only come from the program.
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats()
+    | st.text("ab_-+", max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text("ab_", max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _scaled(value, factor):
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value * factor
+    return value
+
+
+@st.composite
+def fuzzed_configs(draw):
+    config = dict(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(config) or ["kind"]))
+        mutation = draw(st.sampled_from(["drop", "replace", "scale", "subnormal"]))
+        if mutation == "drop":
+            config.pop(key, None)
+        elif mutation == "replace":
+            config[key] = draw(json_values)
+        elif mutation == "scale":
+            config[key] = _scaled(config.get(key), 10.0 ** draw(st.integers(-8, 8)))
+        else:
+            angles = [k for k in sorted(config) if k.endswith("_deg")] or [key]
+            config[draw(st.sampled_from(angles))] = draw(st.sampled_from(SUBNORMALS))
+    for key, cap in FUZZ_CAPS.items():
+        value = config.get(key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and value > cap:
+            config[key] = cap
+    return config
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(fuzzed_configs())
+@example(dict(json.loads(shipped("epr_bell")), theta1_prime_deg=1e-308))
+def test_main_survives_mutated_configs(tmp_path, capsys, config):
+    code, _, err = run_main(tmp_path, capsys, json.dumps(config))
+    assert code in (0, 1, 2, 3)
+    assert "nan" not in err.lower()

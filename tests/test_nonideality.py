@@ -106,6 +106,9 @@ def test_nonideality_matrix_validation():
     for lam, residual in ([[np.nan], [0.5]], 0.0), ([[np.inf], [0.5]], 0.0), ([[1.0]], np.nan):
         with pytest.raises(ValidationError, match="finite"):
             NonidealityMatrix(lam=lam, residual=residual)
+    for bad in (np.nan, np.inf):  # the raw-matrix path used to read these as ideal (J = 0)
+        with pytest.raises(ValidationError, match="finite"):
+            row_entropy_measure([[bad, 0.5], [0.5, 0.5]])
 
 
 def test_recovery_that_does_not_converge_raises_with_its_best_iterate(monkeypatch):

@@ -136,6 +136,17 @@ def test_herm_eig_reconstruction_many():
         assert np.all(np.diff(eig.eigenvalues) >= 0)
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+@pytest.mark.parametrize("dim", [8, 16])
+def test_herm_eig_matches_lapack_at_large_entry_scales(dim, scale):
+    # At these scales the sweeps leave subnormal off-diagonal entries behind;
+    # rotating on one of them used to overflow to NaN eigenvalues.
+    h = random_hermitian(np.random.default_rng(dim), dim).mat * scale
+    want = np.linalg.eigvalsh(h)
+    got = herm_eig(Operator(h)).eigenvalues
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         herm_eig(Operator([[0, 1], [0, 0]]))

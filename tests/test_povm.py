@@ -194,6 +194,8 @@ def test_marginal_pair_at_full_transmission():
 def test_marginal_pair_rejects_identical_axes():
     with pytest.raises(Exception, match="distinct"):
         marginal_pair(_example_quad(), "m1", "m1")
+    with pytest.raises(Exception, match="got 'm1' twice"):
+        marginal(_example_quad(), ("m2", "m1", "m1"))
 
 
 def test_single_axis_marginal_of_quad_is_arm_marginal_times_identity():
