@@ -39,7 +39,7 @@ from .experiments import (
 from .nonideality import MARTENS_SLACK_TOL, RecoveryError
 from .operators import DimensionMismatchError, Operator, ValidationError
 from .povm import distribution
-from .premeasurement import PremeasurementModel, induced_povm, pointer_consistency
+from .premeasurement import MAX_JOINT_DIM, PremeasurementModel, induced_povm, pointer_consistency
 from .states import DensityOperator, Pvm, maximally_mixed, pure_state
 
 __all__ = ["ConfigError", "ExperimentConfig", "ResultTable", "emit", "main", "parse_config", "run"]
@@ -48,7 +48,6 @@ CONSISTENCY_TOL = 1e-9
 
 # Documented limits, checked at parse time so that no config field can make a run
 # allocate without bound (`sample_counts` holds one float64 per draw).
-MAX_JOINT_DIM = 16
 MAX_SAMPLES = 10_000_000
 MAX_POINTS = 100_000
 

@@ -19,7 +19,7 @@ from .operators import (
     ValidationError,
     herm_eig,
 )
-from .states import DensityOperator, Pvm, expectation
+from .states import DensityOperator, Pvm, _expectations
 
 __all__ = [
     "BivariatePovm",
@@ -268,7 +268,4 @@ class OutcomeDistribution:
 def distribution(rho: DensityOperator, p) -> OutcomeDistribution:
     """Outcome probabilities Tr(rho E) for a Povm or any other outcome grid,
     shaped like the grid: flat for a Povm."""
-    probs = np.array(
-        [expectation(rho, Operator(p.grid[idx])) for idx in np.ndindex(p.shape)]
-    ).reshape(p.shape)
-    return OutcomeDistribution(probs)
+    return OutcomeDistribution(_expectations(rho, p.grid))

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 INDUCED_POVM_TOL = 1e-8
+MAX_JOINT_DIM = 16
 
 
 class ModelInconsistencyError(ValidationError):
@@ -57,8 +58,10 @@ class PremeasurementModel:
         dim_object: int,
         dim_apparatus: int,
     ):
-        if dim_object < 1 or dim_apparatus < 1:
-            raise ValidationError("factor dimensions must be positive")
+        if dim_object < 2 or dim_apparatus < 2:
+            raise ValidationError(f"dimensions must be >= 2, got {dim_object}, {dim_apparatus}")
+        if dim_object * dim_apparatus > MAX_JOINT_DIM:
+            raise ValidationError(f"joint dimension {dim_object * dim_apparatus} > {MAX_JOINT_DIM}")
         if u.dim != dim_object * dim_apparatus:
             raise DimensionMismatchError(
                 f"unitary dimension {u.dim} != {dim_object} * {dim_apparatus}"
@@ -100,14 +103,30 @@ class PremeasurementModel:
         )
 
 
-def evolve_joint(rho_o: DensityOperator, model: PremeasurementModel) -> DensityOperator:
-    """Joint post-interaction state U (rho_o x rho_a) U^dagger."""
+def _joint(rho_o: DensityOperator, model: PremeasurementModel) -> Operator:
+    """U (rho_o x rho_a) U^dagger, not validated as a state."""
     if rho_o.dim != model.dim_object:
         raise DimensionMismatchError(
             f"object state dimension {rho_o.dim} != {model.dim_object}"
         )
     joint = tensor_product(rho_o.op, model.rho_a.op)
-    return DensityOperator(model.u @ joint @ model.u.adjoint())
+    return model.u @ joint @ model.u.adjoint()
+
+
+def evolve_joint(rho_o: DensityOperator, model: PremeasurementModel) -> DensityOperator:
+    """Joint post-interaction state U (rho_o x rho_a) U^dagger."""
+    return DensityOperator(_joint(rho_o, model))
+
+
+def _lifted_effects(model: PremeasurementModel):
+    """Yield (I x E_m, M_m) per pointer projector E_m: the projector lifted
+    to the joint space and the object effect it induces."""
+    eye_o = identity(model.dim_object)
+    weight = tensor_product(eye_o, model.rho_a.op)
+    for proj in model.pointer.projectors:
+        lifted = tensor_product(eye_o, proj)
+        heis = model.u.adjoint() @ lifted @ model.u
+        yield lifted, partial_trace_second(weight @ heis, model.dim_object, model.dim_apparatus)
 
 
 def induced_povm(model: PremeasurementModel) -> Povm:
@@ -117,14 +136,7 @@ def induced_povm(model: PremeasurementModel) -> Povm:
     Heisenberg-evolved pointer projector, so that
     Tr(rho_o M_m) reproduces the pointer statistics for every object state.
     """
-    eye_o = identity(model.dim_object)
-    weight = tensor_product(eye_o, model.rho_a.op)
-    effects = []
-    for proj in model.pointer.projectors:
-        heis = model.u.adjoint() @ tensor_product(eye_o, proj) @ model.u
-        effects.append(
-            partial_trace_second(weight @ heis, model.dim_object, model.dim_apparatus)
-        )
+    effects = [effect for _, effect in _lifted_effects(model)]
     labels = [f"{lab:g}" for lab in model.pointer.labels]
     try:
         return validate_povm(effects, labels, tol=INDUCED_POVM_TOL)
@@ -137,13 +149,13 @@ def pointer_consistency(rho_o: DensityOperator, model: PremeasurementModel) -> f
 
     Compares Tr(rho_joint (I x E_m)) against Tr(rho_o M_m) over all pointer
     outcomes; an exact operator identity, so anything above round-off
-    signals an implementation inconsistency.
+    signals an implementation inconsistency.  Both routes read matrices:
+    neither the joint state nor the induced effects are validated again.
     """
-    joint = evolve_joint(rho_o, model)
-    eye_o = identity(model.dim_object)
+    joint = _joint(rho_o, model).mat
     worst = 0.0
-    for proj, effect in zip(model.pointer.projectors, induced_povm(model).grid):
-        direct = np.trace(joint.mat @ tensor_product(eye_o, proj).mat).real
-        via_povm = np.trace(rho_o.mat @ effect).real
+    for lifted, effect in _lifted_effects(model):
+        direct = np.trace(joint @ lifted.mat).real
+        via_povm = np.trace(rho_o.mat @ effect.mat).real
         worst = max(worst, abs(direct - via_povm))
     return worst

@@ -156,15 +156,22 @@ def spectral_pvm(a: Operator) -> Pvm:
     return Pvm(projectors, labels)
 
 
+def _expectations(rho: DensityOperator, stack: np.ndarray) -> np.ndarray:
+    """Tr(rho X) for every X of a (..., d, d) stack, shaped like the stack's
+    leading axes; each imaginary residue must stay below HERMITICITY_TOL."""
+    if rho.dim != stack.shape[-1]:
+        raise DimensionMismatchError(f"state dim {rho.dim} vs operator dim {stack.shape[-1]}")
+    vals = np.trace(rho.mat @ stack, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(np.abs(vals.imag) >= HERMITICITY_TOL)
+    if bad.size:
+        raise ValidationError(f"expectation has imaginary residue {vals.imag.flat[bad[0]]:.3e}")
+    return vals.real
+
+
 def expectation(rho: DensityOperator, m: Operator) -> float:
     """Tr(rho m) for Hermitian m; the imaginary residue must stay below HERMITICITY_TOL."""
-    if rho.dim != m.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} vs operator dim {m.dim}")
     _require_hermitian(m, HERMITICITY_TOL, "expectation operand")
-    val = complex(np.trace(rho.mat @ m.mat))
-    if abs(val.imag) >= HERMITICITY_TOL:
-        raise ValidationError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
+    return float(_expectations(rho, m.mat))
 
 
 def std_dev(rho: DensityOperator, a: Operator) -> float:

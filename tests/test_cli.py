@@ -493,6 +493,22 @@ def test_premeasure_output_is_invariant_under_hamiltonian_rescaling(tmp_path, ca
     assert np.abs(_csv_values(out) - _csv_values(base)).max() <= 1e-9
 
 
+def test_premeasure_with_unitary_accepted_at_1e_9_runs(tmp_path, capsys):
+    # The unitarity residual is 9.8e-10, inside the model's 1e-9 check, but the
+    # joint state's trace is off by 1.5e-8: it used to be re-validated as a
+    # density operator and the run failed with a domain error.
+    plus = np.outer(np.full(4, 0.5), np.full(4, 0.5))
+    config = dict(
+        identity_premeasure(4, 4),
+        unitary=pairs(np.eye(16) + 4.9e-10 * (np.ones((16, 16)) - np.eye(16))),
+        rho_apparatus=pairs(plus),
+        rho_object=pairs(plus),
+    )
+    code, out, err = run_main(tmp_path, capsys, json.dumps(config))
+    assert (code, err) == (0, "")
+    assert _csv_values(out)[:, -1].max() <= 1e-15
+
+
 def test_subnormal_angle_prints_what_angle_zero_prints(tmp_path, capsys):
     # A subnormal angle leaves subnormal off-diagonal entries in the d = 4 cells,
     # which the eigensolver used to rotate on (RuntimeWarnings, NaN eigenvalues).

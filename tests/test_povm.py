@@ -4,7 +4,7 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.operators import DimensionMismatchError, ValidationError, identity, zeros
+from qmeas.operators import DimensionMismatchError, Operator, ValidationError, identity, zeros
 from qmeas.povm import (
     BivariatePovm,
     OutcomeDistribution,
@@ -17,7 +17,15 @@ from qmeas.povm import (
     marginal_pair,
     validate_povm,
 )
-from qmeas.states import polarization_projector, pure_state, spectral_pvm
+from qmeas.premeasurement import PremeasurementModel, induced_povm
+from qmeas.states import (
+    Pvm,
+    expectation,
+    maximally_mixed,
+    polarization_projector,
+    pure_state,
+    spectral_pvm,
+)
 from qmeas.experiments import EprBellConfig, WhichWayConfig, eprbell_povm, whichway_povm
 
 gammas = st.floats(min_value=0.0, max_value=1.0)
@@ -118,6 +126,58 @@ def test_outcome_distribution_validation():
     for bad in (np.nan, np.inf, -np.inf):  # NaN passes every range check
         with pytest.raises(ValidationError, match="finite"):
             OutcomeDistribution([bad, 1.0])
+
+
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+K = 2e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def test_distribution_accepts_a_povm_validated_at_the_induced_tolerance():
+    # Hermiticity residual 4e-9: inside the 1e-8 the POVM was validated at.
+    povm = Povm([Operator(P0 + K), Operator(P1 - K)], tol=1e-8)
+    assert distribution(maximally_mixed(2), povm).probabilities.tolist() == [0.5, 0.5]
+
+
+def test_distribution_still_rejects_imaginary_residue():
+    povm = Povm([Operator(P0 + K), Operator(P1 - K)], tol=1e-8)
+    with pytest.raises(ValidationError, match="expectation has imaginary residue 2.000e-09"):
+        distribution(pure_state([1, 1j]), povm)
+
+
+def test_distribution_still_rejects_state_of_wrong_dimension():
+    povm = Povm([Operator(P0), Operator(P1)])
+    with pytest.raises(DimensionMismatchError, match="state dim 3 vs operator dim 2"):
+        distribution(maximally_mixed(3), povm)
+
+
+def _induced(rng, dim_o, dim_a):
+    pointer = Pvm([Operator(np.diag(np.eye(dim_a)[k])) for k in range(dim_a)], range(dim_a))
+    model = PremeasurementModel.from_generator(
+        random_hermitian(rng, dim_o * dim_a), 1.0, random_density(rng, dim_a), pointer, dim_o, dim_a
+    )
+    return induced_povm(model)
+
+
+def _arm(rng):
+    return WhichWayConfig(*rng.uniform(0, np.pi, 2), rng.uniform(0, 1))
+
+
+def _seeded_grids(rng):
+    """Which-way (d=2), two-arm (d=4) and induced (d=2, d=4) grids."""
+    yield whichway_povm(_arm(rng))
+    yield eprbell_povm(EprBellConfig(_arm(rng), _arm(rng)))
+    yield _induced(rng, 2, 2)
+    yield _induced(rng, 4, 2)
+
+
+def test_distribution_is_per_cell_expectation_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        for grid in _seeded_grids(rng):
+            rho = random_density(rng, grid.dim)
+            cells = [expectation(rho, grid.effect(*idx)) for idx in np.ndindex(grid.shape)]
+            probs = distribution(rho, grid).probabilities
+            assert np.array_equal(probs, np.reshape(cells, grid.shape))
 
 
 def test_povm_rejects_non_operator_effect_0():

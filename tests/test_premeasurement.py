@@ -167,3 +167,51 @@ def test_from_generator_matches_exponential():
         h, 0.9, pure_state([1, 0]), computational_pointer(), 2, 2
     )
     assert np.abs(direct.u.mat - via.u.mat).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "dims,message",
+    [((1, 2), "dimensions must be >= 2, got 1, 2"), ((2, 9), "joint dimension 18 > 16")],
+    ids=["1x2", "2x9"],
+)
+def test_model_rejects_dimensions_outside_2_to_16(dims, message):
+    dim_o, dim_a = dims
+    pointer = Pvm([Operator(np.diag(np.eye(dim_a)[k])) for k in range(dim_a)], range(dim_a))
+    with pytest.raises(ValidationError, match=message):
+        PremeasurementModel(pure_state(np.eye(dim_a)[0]), identity(dim_o * dim_a), pointer, *dims)
+
+
+def hamiltonian_model(rng, dim_o, dim_a):
+    pointer = Pvm([Operator(np.diag(np.eye(dim_a)[k])) for k in range(dim_a)], range(dim_a))
+    return PremeasurementModel.from_generator(
+        random_hermitian(rng, dim_o * dim_a), 1.0, random_density(rng, dim_a), pointer, dim_o, dim_a
+    )
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 4)])
+def test_pointer_consistency_matches_the_validated_route_bit_for_bit(dims):
+    rng = np.random.default_rng(list(dims))
+    for _ in range(3):
+        model = hamiltonian_model(rng, *dims)
+        rho_o = random_density(rng, dims[0])
+        joint = evolve_joint(rho_o, model).mat
+        lift = identity(dims[0])
+        worst = 0.0
+        for proj, effect in zip(model.pointer.projectors, induced_povm(model).grid):
+            direct = np.trace(joint @ tensor_product(lift, proj).mat).real
+            via_povm = np.trace(rho_o.mat @ effect).real
+            worst = max(worst, abs(direct - via_povm))
+        assert pointer_consistency(rho_o, model) == worst
+
+
+def test_pointer_consistency_runs_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(29)
+    model = hamiltonian_model(rng, 4, 4)
+    rho_o = random_density(rng, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for module in ("operators", "states", "povm"):
+        monkeypatch.setattr(f"qmeas.{module}.herm_eig", refuse)
+    assert pointer_consistency(rho_o, model) < 1e-9
