@@ -47,8 +47,9 @@ __all__ = ["ConfigError", "ExperimentConfig", "ResultTable", "emit", "main", "pa
 CONSISTENCY_TOL = 1e-9
 
 # Documented limits, checked at parse time so that no config field can make a run
-# allocate without bound (`sample_counts` holds one float64 per draw).
-MAX_SAMPLES = 10_000_000
+# allocate or compute without bound.  `sample_counts` works in fixed-size blocks,
+# so n_samples bounds the run time (seconds at the limit), not the memory.
+MAX_SAMPLES = 100_000_000
 MAX_POINTS = 100_000
 
 

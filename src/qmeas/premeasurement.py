@@ -48,7 +48,7 @@ class PremeasurementModel:
     Hamiltonian and interaction time (natural units, hbar = 1).
     """
 
-    __slots__ = ("rho_a", "u", "pointer", "dim_object", "dim_apparatus")
+    __slots__ = ("rho_a", "u", "pointer", "dim_object", "dim_apparatus", "_lifted")
 
     def __init__(
         self,
@@ -82,6 +82,7 @@ class PremeasurementModel:
         self.pointer = pointer
         self.dim_object = dim_object
         self.dim_apparatus = dim_apparatus
+        self._lifted = tuple(_lifted_effects(self))
 
     @classmethod
     def from_generator(
@@ -120,7 +121,9 @@ def evolve_joint(rho_o: DensityOperator, model: PremeasurementModel) -> DensityO
 
 def _lifted_effects(model: PremeasurementModel):
     """Yield (I x E_m, M_m) per pointer projector E_m: the projector lifted
-    to the joint space and the object effect it induces."""
+    to the joint space and the object effect it induces.  Run once per model,
+    whose `_lifted` holds the pairs for `induced_povm` and
+    `pointer_consistency`."""
     eye_o = identity(model.dim_object)
     weight = tensor_product(eye_o, model.rho_a.op)
     for proj in model.pointer.projectors:
@@ -136,7 +139,7 @@ def induced_povm(model: PremeasurementModel) -> Povm:
     Heisenberg-evolved pointer projector, so that
     Tr(rho_o M_m) reproduces the pointer statistics for every object state.
     """
-    effects = [effect for _, effect in _lifted_effects(model)]
+    effects = [effect for _, effect in model._lifted]
     labels = [f"{lab:g}" for lab in model.pointer.labels]
     try:
         return validate_povm(effects, labels, tol=INDUCED_POVM_TOL)
@@ -154,7 +157,7 @@ def pointer_consistency(rho_o: DensityOperator, model: PremeasurementModel) -> f
     """
     joint = _joint(rho_o, model).mat
     worst = 0.0
-    for lifted, effect in _lifted_effects(model):
+    for lifted, effect in model._lifted:
         direct = np.trace(joint @ lifted.mat).real
         via_povm = np.trace(rho_o.mat @ effect.mat).real
         worst = max(worst, abs(direct - via_povm))

@@ -7,6 +7,13 @@ platform:
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
     u     <- (state >> 11) * 2^-53
+
+`sample_counts` produces this stream in blocks of 2^16 draws by jump-ahead
+(F. B. Brown, "Random number generation with arbitrary strides", Trans. Am.
+Nucl. Soc. 71, 1994): k steps from state s give A_k * s + C_k mod 2^64, with
+A_k = a^k and C_k = c (a^(k-1) + ... + 1), so one block is one wrapping
+uint64 array expression.  Its counts equal those of the per-draw stream of
+`Lcg64` bit for bit, and its memory is O(block), not O(n_samples).
 """
 
 import numpy as np
@@ -17,6 +24,7 @@ LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
+_BLOCK = 1 << 16
 
 
 class Lcg64:
@@ -36,6 +44,23 @@ class Lcg64:
         return (self.next_uint64() >> 11) * _INV_2_53
 
 
+def _jump_table(size: int):
+    """uint64 arrays (A_k, C_k), k = 1..K for the first power of two K >= size,
+    such that k LCG steps take state s to A_k * s + C_k mod 2^64.
+
+    Doubling: step m + j is step j applied after step m.  Every product is an
+    array operation, which wraps silently where a numpy scalar product warns.
+    """
+    mult = np.array([LCG_MULTIPLIER], dtype=np.uint64)
+    incr = np.array([LCG_INCREMENT], dtype=np.uint64)
+    while len(mult) < size:
+        mult, incr = (
+            np.concatenate((mult, mult * mult[-1:])),
+            np.concatenate((incr, mult * incr[-1:] + incr)),
+        )
+    return mult, incr
+
+
 def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
     """Histogram of n i.i.d. inverse-CDF draws from a finite distribution.
 
@@ -49,8 +74,15 @@ def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
     flat = np.clip(probs.reshape(-1), 0.0, None)
     cumulative = np.cumsum(flat)
     top = len(flat) - 1
-    rng = Lcg64(seed)
-    draws = np.fromiter((rng.next_float() for _ in range(n_samples)), dtype=np.float64)
-    indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), top)
-    counts = np.bincount(indices, minlength=len(flat))
+    mult, incr = _jump_table(min(n_samples, _BLOCK))
+    counts = np.zeros(len(flat), dtype=np.intp)
+    state = np.array([int(seed) & _MASK64], dtype=np.uint64)
+    for start in range(0, n_samples, _BLOCK):
+        size = min(_BLOCK, n_samples - start)
+        states = mult[:size] * state
+        states += incr[:size]
+        draws = (states >> 11).astype(np.float64) * _INV_2_53
+        indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), top)
+        counts += np.bincount(indices, minlength=len(flat))
+        state = states[-1:]
     return counts.reshape(probs.shape)

@@ -418,8 +418,8 @@ def identity_premeasure(dim_o, dim_a):
         pytest.param(json.dumps(identity_premeasure(3, 6)),
                      "dim_apparatus: dim_object * dim_apparatus must be <= 16, got 18",
                      id="joint-dim-18"),
-        pytest.param(shipped("sample", n_samples=10_000_001),
-                     "n_samples: must be <= 10000000, got 10000001", id="n-samples"),
+        pytest.param(shipped("sample", n_samples=100_000_001),
+                     "n_samples: must be <= 100000000, got 100000001", id="n-samples"),
         pytest.param(shipped("entropy_sweep", n_points=100_001),
                      "n_points: must be <= 100000, got 100001", id="n-points"),
     ],
@@ -434,7 +434,7 @@ def test_validate_rejects_over_limit_configs(tmp_path, capsys, text, message):
         json.dumps(identity_premeasure(2, 2)),
         json.dumps(identity_premeasure(4, 4)),
         json.dumps(identity_premeasure(2, 8)),
-        shipped("sample", n_samples=10_000_000),
+        shipped("sample", n_samples=100_000_000),
         shipped("entropy_sweep", n_points=100_000),
     ],
     ids=["dims-2x2", "dims-4x4", "dims-2x8", "n-samples", "n-points"],

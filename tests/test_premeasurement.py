@@ -215,3 +215,17 @@ def test_pointer_consistency_runs_no_eigensolver(monkeypatch):
     for module in ("operators", "states", "povm"):
         monkeypatch.setattr(f"qmeas.{module}.herm_eig", refuse)
     assert pointer_consistency(rho_o, model) < 1e-9
+
+
+def test_lifted_products_are_built_once_per_model(monkeypatch):
+    rng = np.random.default_rng(31)
+    model = hamiltonian_model(rng, 2, 4)
+    rho_o = random_density(rng, 2)
+    expected = [e.mat.copy() for e in induced_povm(model).effects]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lifted effect rebuilt")
+
+    monkeypatch.setattr("qmeas.premeasurement.partial_trace_second", refuse)
+    assert all(np.array_equal(e.mat, x) for e, x in zip(induced_povm(model).effects, expected))
+    assert pointer_consistency(rho_o, model) < 1e-9

@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qmeas.sampling import _BLOCK as BLOCK
 from qmeas.sampling import LCG_INCREMENT, LCG_MULTIPLIER, Lcg64, sample_counts
 
 
@@ -65,3 +69,55 @@ def test_sample_counts_degenerate_distribution():
 def test_sample_counts_requires_positive_n():
     with pytest.raises(ValueError):
         sample_counts(np.array([1.0]), 0, seed=1)
+
+
+# 16-outcome grids with exact zeros and negative round-off entries.
+GRIDS = [
+    np.array([0.1, 0.0, 0.05, -1e-17, 0.2, 0.15, 0.0, 0.1,
+              0.05, 0.05, -2e-18, 0.1, 0.05, 0.05, 0.05, 0.05]),
+    np.array([0.0, 0.0, 0.5, -3e-17, 0.0, 0.25, 0.0, 0.0,
+              0.125, 0.0, 0.0, 0.0, -1e-16, 0.0, 0.0, 0.125]).reshape(2, 2, 2, 2),
+]
+
+
+def reference_counts(probs, draws):
+    """Inverse CDF over `draws`: the first outcome whose cumulative exceeds
+    the draw, or the last outcome when round-off leaves none."""
+    cumulative = np.cumsum(np.clip(probs.reshape(-1), 0.0, None))
+    top = cumulative.size - 1
+    indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), top)
+    return np.bincount(indices, minlength=cumulative.size).reshape(probs.shape)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -1, 2**64 + 5])
+def test_sample_counts_equal_the_per_draw_stream(seed):
+    rng = Lcg64(seed)
+    draws = np.array([rng.next_float() for _ in range(3 * BLOCK + 7)])
+    for probs in GRIDS:
+        for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+            counts = sample_counts(probs, n, seed)
+            expected = reference_counts(probs, draws[:n])
+            assert counts.dtype == expected.dtype
+            assert np.array_equal(counts, expected), (n, probs.shape)
+
+
+def test_sample_counts_frozen_reference():
+    # recorded with the per-draw sampler, before the block jump-ahead
+    counts = sample_counts(GRIDS[0], 200_000, seed=424242)
+    assert counts.tolist() == [
+        19937, 0, 10071, 0, 39907, 30014, 0, 20094,
+        10132, 10077, 0, 19878, 9916, 9890, 9952, 10132,
+    ]
+
+
+def test_sample_counts_memory_is_bounded_by_the_block():
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            counts = sample_counts(GRIDS[0], 2_000_000, seed=2**64 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2_000_000
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
