@@ -36,8 +36,8 @@ from .experiments import (
     whichway_nonideality,
     whichway_povm,
 )
-from .nonideality import MARTENS_SLACK_TOL, RecoveryError
-from .operators import DimensionMismatchError, Operator, ValidationError
+from .nonideality import MARTENS_SLACK_TOL
+from .operators import DimensionMismatchError, Operator, SolverError, ValidationError
 from .povm import distribution
 from .premeasurement import MAX_JOINT_DIM, PremeasurementModel, induced_povm, pointer_consistency
 from .states import DensityOperator, Pvm, maximally_mixed, pure_state
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except RecoveryError as exc:
+    except SolverError as exc:  # recovery or eigensolver non-convergence
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, DimensionMismatchError, RuntimeError, OSError) as exc:

@@ -23,6 +23,7 @@ from .operators import (
     HERMITICITY_TOL,
     DimensionMismatchError,
     Operator,
+    SolverError,
     ValidationError,
     _require_hermitian,
     herm_eig,
@@ -51,7 +52,7 @@ JOINT_RESIDUAL_TOL = 1e-6
 MARTENS_SLACK_TOL = 1e-6
 
 
-class RecoveryError(RuntimeError):
+class RecoveryError(SolverError):
     """Solver did not converge within the iteration cap.
 
     Carries the best iterate seen and its residual so callers can inspect

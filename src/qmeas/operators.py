@@ -17,8 +17,10 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
+    "EigensolverError",
     "HermitianEig",
     "Operator",
+    "SolverError",
     "ValidationError",
     "exp_hermitian_generator",
     "herm_eig",
@@ -45,6 +47,14 @@ class ValidationError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Operands live on incompatible Hilbert-space dimensions."""
+
+
+class SolverError(RuntimeError):
+    """An iterative solver stopped without converging; the CLI exits 3."""
+
+
+class EigensolverError(SolverError):
+    """The Jacobi eigensolver hit its sweep cap, or its iterate went non-finite."""
 
 
 class Operator:
@@ -171,26 +181,42 @@ def _require_hermitian(m: Operator, tol: float, what: str):
         raise ValidationError(f"{what} must be Hermitian (residual {residual:.3e} > {tol:.0e})")
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((np.abs(off) ** 2).sum()))
-
-
 def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian operator by cyclic Jacobi rotations.
 
     Each rotation zeroes one off-diagonal pair via a complex plane rotation;
-    sweeps repeat until the off-diagonal Frobenius norm drops below 1e-12
-    (hard cap 100 sweeps, plenty for dimensions up to 16).  Pairs whose
-    entry is zero or subnormal are skipped.
+    sweeps repeat until the off-diagonal Frobenius norm drops below 1e-12,
+    or until a sweep leaves it no lower than the sweep before.  In exact
+    arithmetic every rotation lowers it, so that second stop fires only at
+    the rounding floor, which lies above 1e-12 once entries reach ~1e4
+    (Demmel & Veselic, 1992).  Pairs whose entry is zero or subnormal are
+    skipped.  Raises EigensolverError when `_JACOBI_MAX_SWEEPS`, read at
+    call time, runs out before either stop, or when the norm is not finite.
     """
     _require_hermitian(m, tol, "eigensolver input")
     n = m.dim
     a = 0.5 * (m.mat + m.mat.conj().T)  # symmetrize round-off before iterating
-    v = np.eye(n, dtype=np.complex128)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) < _JACOBI_OFF_TOL:
+    eye = np.eye(n, dtype=np.complex128)
+    v = eye.copy()
+    previous = math.inf
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
+        off = a.copy()
+        np.fill_diagonal(off, 0.0)
+        magnitudes = np.abs(off)
+        with np.errstate(over="ignore"):  # squares overflow above ~1e154; hypot does not
+            norm = math.sqrt((magnitudes**2).sum())
+        if norm == math.inf:
+            norm = math.hypot(*magnitudes.ravel())
+        if not math.isfinite(norm):  # an entry overflowed: no rotation recovers it
+            raise EigensolverError(f"Jacobi eigensolver overflowed after {sweep} sweeps")
+        if norm < _JACOBI_OFF_TOL or norm >= previous:
             break
+        if sweep == _JACOBI_MAX_SWEEPS:
+            raise EigensolverError(
+                f"Jacobi eigensolver did not converge within {sweep} sweeps "
+                f"(off-diagonal norm {norm:.3e})"
+            )
+        previous = norm
         for p in range(n - 1):
             for q in range(p + 1, n):
                 r = abs(a[p, q])
@@ -199,7 +225,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
                 phase = a[p, q] / r
                 t = 0.5 * math.atan2(2.0 * r, a[p, p].real - a[q, q].real)
                 c, s = math.cos(t), math.sin(t)
-                g = np.eye(n, dtype=np.complex128)
+                g = eye.copy()
                 g[p, p] = c
                 g[q, q] = c
                 g[p, q] = -s * phase

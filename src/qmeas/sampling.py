@@ -18,6 +18,8 @@ uint64 array expression.  Its counts equal those of the per-draw stream of
 
 import numpy as np
 
+from .povm import OutcomeDistribution
+
 __all__ = ["Lcg64", "sample_counts"]
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -65,10 +67,12 @@ def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
     """Histogram of n i.i.d. inverse-CDF draws from a finite distribution.
 
     The outcome order is the flat (row-major) order of `probabilities`; the
-    returned counts keep that array's shape.  Negative round-off entries are
-    clamped to zero for the cumulative only.
+    returned counts keep that array's shape.  The array must pass the check
+    of `OutcomeDistribution` (finite, entries >= -HERMITICITY_TOL, total 1
+    within HERMITICITY_TOL), else ValidationError; negative round-off
+    entries are clamped to zero for the cumulative only.
     """
-    probs = np.asarray(probabilities, dtype=np.float64)
+    probs = OutcomeDistribution(probabilities).probabilities
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     flat = np.clip(probs.reshape(-1), 0.0, None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qmeas import nonideality
+from qmeas import experiments, nonideality, operators
 from qmeas.cli import (
     KINDS,
     ConfigError,
@@ -491,6 +491,27 @@ def test_premeasure_output_is_invariant_under_hamiltonian_rescaling(tmp_path, ca
     code, out, err = run_main(tmp_path, capsys, json.dumps(hamiltonian_premeasure(2, 4, scale)))
     assert (code, err) == (0, "")
     assert np.abs(_csv_values(out) - _csv_values(base)).max() <= 1e-9
+
+
+def test_main_reports_eigensolver_non_convergence_as_solver_error(tmp_path, capsys, monkeypatch):
+    # herm_eig used to return whatever its last sweep left, silently
+    monkeypatch.setattr(operators, "_JACOBI_MAX_SWEEPS", 1)
+    code, out, err = run_main(tmp_path, capsys, json.dumps(hamiltonian_premeasure(2, 4)))
+    assert (code, out) == (3, "")
+    assert err.startswith("solver error: Jacobi eigensolver did not converge within 1 sweeps")
+    assert "nan" not in err.lower()
+
+
+def test_main_keeps_the_sampler_consistency_check_a_domain_error(monkeypatch, capsys):
+    # a plain RuntimeError, not a SolverError: it exits 2, not 3
+    def first_outcome_only(probabilities, n_samples, seed):
+        counts = np.zeros(np.shape(probabilities), dtype=np.intp)
+        counts.flat[0] = n_samples
+        return counts
+
+    monkeypatch.setattr(experiments, "sample_counts", first_outcome_only)
+    assert main(["run", "--config", str(ROOT / "configs" / "sample.json")]) == 2
+    assert capsys.readouterr().err.startswith("domain error: sampled frequencies off by TV")
 
 
 def test_premeasure_with_unitary_accepted_at_1e_9_runs(tmp_path, capsys):

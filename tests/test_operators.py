@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import random_hermitian
 
+from qmeas import operators
 from qmeas.operators import (
     DimensionMismatchError,
+    EigensolverError,
     Operator,
     ValidationError,
     exp_hermitian_generator,
@@ -136,15 +140,43 @@ def test_herm_eig_reconstruction_many():
         assert np.all(np.diff(eig.eigenvalues) >= 0)
 
 
-@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
-@pytest.mark.parametrize("dim", [8, 16])
-def test_herm_eig_matches_lapack_at_large_entry_scales(dim, scale):
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8, 1e200])
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_herm_eig_matches_lapack_at_large_entry_scales(monkeypatch, dim, scale):
     # At these scales the sweeps leave subnormal off-diagonal entries behind;
-    # rotating on one of them used to overflow to NaN eigenvalues.
+    # rotating on one of them used to overflow to NaN eigenvalues.  The 1e-12
+    # stop is never met either: every solve ran all 100 sweeps until the stop
+    # once a sweep no longer lowers the norm.  At 1e200 that norm's squares
+    # overflow, and an Inf norm must not read as "no lower".
+    monkeypatch.setattr(operators, "_JACOBI_MAX_SWEEPS", 15)
     h = random_hermitian(np.random.default_rng(dim), dim).mat * scale
     want = np.linalg.eigvalsh(h)
     got = herm_eig(Operator(h)).eigenvalues
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_herm_eig_raises_at_the_sweep_cap(monkeypatch):
+    monkeypatch.setattr(operators, "_JACOBI_MAX_SWEEPS", 1)
+    h = random_hermitian(np.random.default_rng(8), 8)
+    with pytest.raises(EigensolverError, match=r"within 1 sweeps \(off-diagonal norm \d"):
+        herm_eig(h)
+
+
+def test_herm_eig_bytes_are_pinned():
+    # SHA-256 of the eigenvalue and eigenvector bytes (signed zeros included),
+    # recorded with the solver of commit 42c43d0, before the rounding-floor
+    # stop, on x86-64 Linux with numpy 2.4.6 and OpenBLAS 0.3.31; another BLAS
+    # may round the products differently.  Up to a norm of 1e2 every solve
+    # stops on the 1e-12 threshold; at 1e4 the d=8 and d=16 solves ran all
+    # 100 sweeps then and stop at the rounding floor now, with the same bytes.
+    digest = hashlib.sha256()
+    for dim in (2, 4, 8, 16):
+        for norm in (1e-8, 1e-4, 1.0, 1e2, 1e4):
+            h = random_hermitian(np.random.default_rng(dim), dim).mat
+            eig = herm_eig(Operator(h * (norm / np.linalg.norm(h))))
+            digest.update(eig.eigenvalues.tobytes())
+            digest.update(eig.eigenvectors.tobytes())
+    assert digest.hexdigest() == "7b69410ef027c257b574eb7dd8a649ac443f29f2757f40953e9ef68c7cfe29ce"
 
 
 def test_herm_eig_rejects_non_hermitian():

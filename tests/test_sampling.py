@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qmeas.operators import ValidationError
 from qmeas.sampling import _BLOCK as BLOCK
 from qmeas.sampling import LCG_INCREMENT, LCG_MULTIPLIER, Lcg64, sample_counts
 
@@ -121,3 +122,16 @@ def test_sample_counts_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert counts.sum() == 2_000_000
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.5], [np.inf, 1.0], [0.2, 0.2], [1.2, -0.2]])
+def test_sample_counts_rejects_what_is_not_a_distribution(probs):
+    # each used to sample: NaN and Inf entries took every draw, a 0.4 total
+    # sent the draws above it to the last outcome
+    with pytest.raises(ValidationError):
+        sample_counts(probs, 1000, seed=1)
+
+
+def test_sample_counts_still_samples_round_off_negatives():
+    counts = sample_counts([-1e-10, 0.5, 0.5 + 1e-10], 1000, seed=1)
+    assert counts[0] == 0 and counts.sum() == 1000
