@@ -28,8 +28,8 @@ from .experiments import (
     CHSH_BOUND_TOL,
     EprBellConfig,
     WhichWayConfig,
+    _single_setup_result,
     chsh_pasted_aspect,
-    chsh_single_setup,
     eprbell_povm,
     martens_sweep,
     quadruple_sample_check,
@@ -240,7 +240,7 @@ def _build_eprbell(raw: dict) -> SimpleNamespace:
 
 def _run_eprbell(p, tol) -> list:
     probs = distribution(p.state, eprbell_povm(p.config)).probabilities
-    result = chsh_single_setup(p.state, p.config)
+    result = _single_setup_result(probs)
     s = result.s_value
     if abs(s) > 2.0 + (tol if tol is not None else CHSH_BOUND_TOL):
         raise ValidationError(f"single-setup CHSH {s:.12g} exceeds the classical bound 2")

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonideality import joint_nonideal_decomposition, martens_bound, row_entropy_measure
-from .operators import Operator, ValidationError, identity, tensor_product, zeros
+from .operators import ValidationError
+from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
 from .povm import BivariatePovm, OutcomeDistribution, QuadrivariatePovm, distribution
 from .sampling import sample_counts
 from .states import DensityOperator, polarization_projector, polarization_pvm
@@ -106,13 +107,10 @@ def whichway_povm(c: WhichWayConfig) -> BivariatePovm:
     outcome; the (+,+) cell is exactly zero and (-,-) absorbs the photons
     lost in either analyzer.
     """
-    e_t = polarization_projector(c.theta)
-    e_tp = polarization_projector(c.theta_prime)
-    absorbed = identity(2) - c.gamma * e_t - (1.0 - c.gamma) * e_tp
-    grid = [
-        [zeros(2), c.gamma * e_t],
-        [(1.0 - c.gamma) * e_tp, absorbed],
-    ]
+    transmitted = polarization_projector(c.theta).mat * complex(c.gamma)
+    reflected = polarization_projector(c.theta_prime).mat * complex(1.0 - c.gamma)
+    absorbed = (np.eye(2, dtype=np.complex128) - transmitted) - reflected
+    grid = np.array([[np.zeros((2, 2)), transmitted], [reflected, absorbed]])
     return BivariatePovm(grid, ["+", "-"], ["+", "-"])
 
 
@@ -172,9 +170,10 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
 def eprbell_povm(c: EprBellConfig) -> QuadrivariatePovm:
     """16-outcome grid of the two-arm experiment: per-cell tensor products
     of the arms' which-way effects (arm 1 as the slow factor)."""
-    arm1, arm2 = (whichway_povm(arm).grid.reshape(-1, 2, 2) for arm in (c.arm1, c.arm2))
-    cells = [tensor_product(Operator(e1), Operator(e2)) for e1 in arm1 for e2 in arm2]
-    return QuadrivariatePovm(np.array(cells, dtype=object).reshape(2, 2, 2, 2))
+    a, b = (whichway_povm(arm).grid for arm in (c.arm1, c.arm2))
+    # cell (c1, c2) holds a[c1, i, j] * b[c2, k, l] at row 2i + k, column 2j + l: np.kron's layout
+    kron = a.reshape(4, 1, 2, 1, 2, 1) * b.reshape(1, 4, 1, 2, 1, 2)
+    return QuadrivariatePovm(kron.reshape(2, 2, 2, 2, 4, 4))
 
 
 def _pair_correlation(probs: np.ndarray, axis_a: int, axis_b: int) -> float:
@@ -192,7 +191,11 @@ def chsh_single_setup(rho: DensityOperator, c: EprBellConfig) -> ChshResult:
     classical (Kolmogorovian) and can never exceed |S| = 2, whatever the
     state or mirror transmissions.
     """
-    probs = distribution(rho, eprbell_povm(c)).probabilities
+    return _single_setup_result(distribution(rho, eprbell_povm(c)).probabilities)
+
+
+def _single_setup_result(probs: np.ndarray) -> ChshResult:
+    """CHSH result of one two-arm distribution, shaped (m1, n1, m2, n2)."""
     return _chsh_result(
         (
             _pair_correlation(probs, 0, 2),  # E(m1, m2)

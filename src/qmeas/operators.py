@@ -181,6 +181,13 @@ def _require_hermitian(m: Operator, tol: float, what: str):
         raise ValidationError(f"{what} must be Hermitian (residual {residual:.3e} > {tol:.0e})")
 
 
+def _symmetrized(m: Operator) -> np.ndarray:
+    """(m + m^H) / 2, halving each term first so that entries near the
+    float64 maximum do not overflow; halving is exact for normal entries."""
+    half = 0.5 * m.mat
+    return half + half.conj().T
+
+
 def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian operator by cyclic Jacobi rotations.
 
@@ -195,7 +202,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     """
     _require_hermitian(m, tol, "eigensolver input")
     n = m.dim
-    a = 0.5 * (m.mat + m.mat.conj().T)  # symmetrize round-off before iterating
+    a = _symmetrized(m)  # symmetrize round-off before iterating
     eye = np.eye(n, dtype=np.complex128)
     v = eye.copy()
     previous = math.inf

@@ -5,10 +5,13 @@ outcome grid indexes effects by a tuple of detector outcomes, one per named
 axis ("+" detection, "-" no detection): a plain `Povm` (one axis), the
 which-way 2x2 grid (`BivariatePovm`) and the two-photon 2x2x2x2 grid
 (`QuadrivariatePovm`) are the same N-axis `OutcomeGrid`, each storing its
-effects once as a read-only stack.  Flattening a grid row-major must again
-give a valid POVM, and `marginal(grid, keep)` sums out every axis not kept.
+effects once as a read-only stack and accepting one as input.  Flattening a
+grid row-major must again give a valid POVM, and `marginal(grid, keep)` sums
+out every axis not kept.
 Validation is eager so invalid effect lists cannot be represented.
 """
+
+import math
 
 import numpy as np
 
@@ -83,7 +86,9 @@ def _row_major(cells, depth: int):
 class OutcomeGrid:
     """Effects indexed by one outcome per named axis (class attribute AXES),
     stacked read-only as (*shape, dim, dim); the row-major cells must form a
-    valid POVM.  Missing labels default to "+", "-" on axes of length <= 2."""
+    valid POVM.  Cells are nested Operator sequences, one level per axis, or
+    a numeric (*shape, dim, dim) ndarray, whose cells are checked as
+    Operators are.  Missing labels default to "+", "-" on axes of length <= 2."""
 
     __slots__ = ("grid", "axis_labels")
     AXES = ()
@@ -93,7 +98,12 @@ class OutcomeGrid:
 
     def _build(self, cells, axis_labels, tol: float, label_error: str):
         """The one constructor body of every grid, `Povm` included."""
-        flat, shape = _row_major(cells, len(self.AXES))
+        depth = len(self.AXES)
+        if isinstance(cells, np.ndarray) and cells.dtype != object:
+            shape = cells.shape[:depth]
+            flat = [Operator(c) for c in cells.reshape(math.prod(shape), *cells.shape[depth:])]
+        else:
+            flat, shape = _row_major(cells, depth)
         flat = _check_effects(flat, tol)
         if shape is None:
             raise PovmValidationError("grid rows must have uniform length")
@@ -118,11 +128,10 @@ class OutcomeGrid:
         return Operator(self.grid[idx])
 
     def flatten(self) -> "Povm":
-        effects, labels = [], []
-        for idx in np.ndindex(self.shape):
-            effects.append(Operator(self.grid[idx]))
-            labels.append(",".join(ax[k] for ax, k in zip(self.axis_labels, idx)))
-        return Povm(effects, labels)
+        labels = [
+            ",".join(ax[k] for ax, k in zip(self.axis_labels, idx)) for idx in np.ndindex(self.shape)
+        ]
+        return Povm(self.grid.reshape(-1, self.dim, self.dim), labels)
 
     def __repr__(self):
         return f"{type(self).__name__}(shape={self.shape}, dim={self.dim})"
@@ -136,7 +145,8 @@ class Povm(OutcomeGrid):
     AXES = ("outcome",)
 
     def __init__(self, effects, outcome_labels=None, tol: float = HERMITICITY_TOL):
-        effects = tuple(effects)
+        if not isinstance(effects, np.ndarray):
+            effects = tuple(effects)
         labels = range(len(effects)) if outcome_labels is None else outcome_labels
         self._build(effects, (labels,), tol, "outcome_labels length must match effects")
 
@@ -225,8 +235,8 @@ def marginal(grid: OutcomeGrid, keep):
     summed = summed.transpose([order.index(k) for k in axes] + [len(axes), len(axes) + 1])
     labels = [grid.axis_labels[k] for k in axes]
     if len(axes) == 1:
-        return Povm([Operator(s) for s in summed], labels[0])
-    return BivariatePovm([[Operator(s) for s in row] for row in summed], *labels)
+        return Povm(summed, labels[0])
+    return BivariatePovm(summed, *labels)
 
 
 def marginal_pair(q: QuadrivariatePovm, axis_i, axis_j) -> BivariatePovm:

@@ -11,9 +11,11 @@ import numpy as np
 from .operators import (
     HERMITICITY_TOL,
     DimensionMismatchError,
+    HermitianEig,
     Operator,
     ValidationError,
     _require_hermitian,
+    _symmetrized,
     herm_eig,
     identity,
 )
@@ -45,25 +47,32 @@ class DensityOperator:
     """Positive-semidefinite unit-trace operator representing a preparation.
 
     Validation is eager: hermiticity, positivity and unit trace are checked
-    on construction, each within HERMITICITY_TOL.
+    on construction, each within HERMITICITY_TOL.  Positivity is decided by
+    LAPACK's `eigvalsh` on the matrix `herm_eig` would iterate on; the Jacobi
+    spectrum is computed only when `eig` is first read.
     """
 
-    __slots__ = ("op", "eig")
+    __slots__ = ("op", "_eig")
 
     def __init__(self, op):
         if not isinstance(op, Operator):
             op = Operator(op)
         _require_hermitian(op, HERMITICITY_TOL, "density operator")
-        eig = herm_eig(op)
-        if eig.eigenvalues[0] < -HERMITICITY_TOL:
-            raise ValidationError(
-                f"density operator has negative eigenvalue {eig.eigenvalues[0]:.3e}"
-            )
+        if np.linalg.eigvalsh(_symmetrized(op))[0] < -HERMITICITY_TOL:
+            low = herm_eig(op).eigenvalues[0]  # reported as `eig` would report it
+            raise ValidationError(f"density operator has negative eigenvalue {low:.3e}")
         tr = op.trace()
         if abs(tr - 1.0) > HERMITICITY_TOL:
             raise ValidationError(f"density operator trace is {tr:.12g}, expected 1")
         self.op = op
-        self.eig = eig  # spectral data, reused by variance computations
+        self._eig = None
+
+    @property
+    def eig(self) -> HermitianEig:
+        """Jacobi spectral data, computed on first use (by `std_dev`)."""
+        if self._eig is None:
+            self._eig = herm_eig(self.op)
+        return self._eig
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qmeas import experiments, nonideality, operators
+from qmeas import cli, experiments, nonideality, operators
 from qmeas.cli import (
     KINDS,
     ConfigError,
@@ -599,3 +599,20 @@ def test_main_survives_mutated_configs(tmp_path, capsys, config):
     code, _, err = run_main(tmp_path, capsys, json.dumps(config))
     assert code in (0, 1, 2, 3)
     assert "nan" not in err.lower()
+
+
+def test_epr_bell_run_builds_its_grid_once(monkeypatch, capsys):
+    # the run used to build the grid and its distribution a second time
+    # inside chsh_single_setup
+    calls = []
+    original = experiments.eprbell_povm
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(experiments, "eprbell_povm", counted)
+    monkeypatch.setattr(cli, "eprbell_povm", counted)
+    assert main(["run", "--config", str(ROOT / "configs" / "epr_bell.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 1

@@ -234,3 +234,11 @@ def test_scalar_multiplication_and_arithmetic():
         a * a  # noqa: B018  -- scalar-only multiply
     with pytest.raises(DimensionMismatchError):
         a @ identity(3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_herm_eig_symmetrizes_entries_near_the_float_maximum():
+    # (m + m^H) / 2 overflowed for entries above ~9e307 and returned [1, inf]
+    assert herm_eig(Operator([[1e308, 0], [0, 1]])).eigenvalues.tolist() == [1.0, 1e308]
+    got = herm_eig(Operator([[1.7e308, 0], [0, -1.7e308]])).eigenvalues
+    assert got.tolist() == [-1.7e308, 1.7e308]

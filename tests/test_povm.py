@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from helpers import random_density, random_hermitian
@@ -342,3 +345,82 @@ def test_bivariate_grid_shape_and_labels():
     assert np.abs(grid.effect(0, 0).mat - zeros(2).mat).max() == 0.0
     flat = grid.flatten()
     assert flat.outcome_labels == ("+,+", "+,-", "-,+", "-,-")
+
+
+def _as_operators(stack, depth):
+    """Nested lists of Operator cells, `depth` levels deep, of a stack."""
+    if depth == 0:
+        return Operator(stack)
+    return [_as_operators(cells, depth - 1) for cells in stack]
+
+
+_WHICHWAY = whichway_povm(WhichWayConfig(0.2, 1.1, 0.35)).grid
+_TWO_ARM = eprbell_povm(
+    EprBellConfig(WhichWayConfig(0.2, 1.1, 0.35), WhichWayConfig(0.7, 0.1, 0.6))
+).grid
+# (constructor, nesting depth of its cells, stack)
+_MAKERS = [
+    (Povm, 1, _WHICHWAY.reshape(4, 2, 2)),
+    (lambda cells: Povm(cells, "abcd"), 1, _WHICHWAY.reshape(4, 2, 2)),
+    (lambda cells: BivariatePovm(cells, "+-", "+-"), 2, _WHICHWAY),
+    (QuadrivariatePovm, 4, _TWO_ARM),
+    (lambda cells: QuadrivariatePovm(cells, ["ab", "cd", "ef", "gh"]), 4, _TWO_ARM),
+]
+
+
+@pytest.mark.parametrize(
+    "make, depth, stack", _MAKERS, ids=["povm", "povm-labels", "which-way", "two-arm", "two-arm-labels"]
+)
+def test_grids_from_stacks_equal_grids_from_operator_cells(make, depth, stack):
+    want = make(_as_operators(stack, depth))
+    for cells in (stack, stack.real):  # every cell here is real
+        got = make(cells)
+        assert np.array_equal(got.grid, want.grid)
+        assert got.grid.dtype == np.complex128 and not got.grid.flags.writeable
+        assert (got.axis_labels, repr(got)) == (want.axis_labels, repr(want))
+
+
+def _with_entry(stack, value):
+    stack = stack.copy()
+    stack.flat[5] = value
+    return stack
+
+
+@pytest.mark.parametrize(
+    "make, depth, stack",
+    [
+        (lambda cells: BivariatePovm(cells, "+-", "+-"), 2, _with_entry(_WHICHWAY, np.nan)),
+        (QuadrivariatePovm, 4, _with_entry(_TWO_ARM, np.inf)),
+        (Povm, 1, np.eye(2)),
+        (lambda cells: BivariatePovm(cells, "+-", "+-"), 2, np.zeros((2, 2, 2, 2, 2))),
+        (QuadrivariatePovm, 4, _TWO_ARM[..., 0]),
+        (Povm, 1, np.zeros((2, 2, 3))),
+    ],
+    ids=["nan", "inf", "povm-ndim-2", "which-way-ndim-5", "two-arm-ndim-5", "non-square"],
+)
+def test_bad_stacks_raise_what_their_operator_cells_raise(make, depth, stack):
+    with pytest.raises(ValidationError) as want:
+        make(_as_operators(stack, depth))
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        make(stack)
+
+
+def test_marginals_and_flattenings_keep_their_bytes():
+    # SHA-256 of the grid, label and repr bytes, recorded at commit fc6f290,
+    # whose grids were built from Operator cells, on x86-64 Linux with numpy
+    # 2.4.6 and OpenBLAS 0.3.31.
+    rng = np.random.default_rng(23)
+    grids = [whichway_povm(WhichWayConfig(*rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 1)))
+             for _ in range(4)]
+    grids += [whichway_povm(WhichWayConfig(0.3, 1.1, gamma)) for gamma in (0.0, 1.0)]
+    for _ in range(3):
+        arms = [WhichWayConfig(*rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 1)) for _ in "12"]
+        grids.append(eprbell_povm(EprBellConfig(*arms)))
+    digest = hashlib.sha256()
+    for grid in grids:
+        axes = range(len(grid.AXES))
+        pairs = [(i, j) for i in axes for j in axes if i != j]
+        for out in [grid, grid.flatten(), *(marginal(grid, k) for k in [*axes, *pairs])]:
+            digest.update(out.grid.tobytes())
+            digest.update(repr((out.axis_labels, out)).encode())
+    assert digest.hexdigest() == "aea8f91337c4e8c9a7f6bfd420b9bacaf57e842731f5ef4761ec69ad6c76e45e"

@@ -4,7 +4,15 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.operators import Operator, ValidationError, partial_trace_first, partial_trace_second
+from qmeas import states
+from qmeas.experiments import EprBellConfig, WhichWayConfig, chsh_single_setup
+from qmeas.operators import (
+    Operator,
+    ValidationError,
+    herm_eig,
+    partial_trace_first,
+    partial_trace_second,
+)
 from qmeas.states import (
     PAULI_X,
     PAULI_Y,
@@ -42,6 +50,43 @@ def test_density_operator_validation():
         DensityOperator(Operator(np.diag([1.5, -0.5])))  # negative eigenvalue
     with pytest.raises(ValidationError):
         DensityOperator(Operator([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+
+
+def test_density_operators_are_validated_without_the_jacobi_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("herm_eig called")
+
+    monkeypatch.setattr(states, "herm_eig", refuse)
+    rho = random_density(np.random.default_rng(41), 4)
+    assert pure_state([1, 1j]).dim == 2
+    config = EprBellConfig(WhichWayConfig(0.1, 0.9, 0.3), WhichWayConfig(0.4, 1.3, 0.8))
+    assert not chsh_single_setup(rho, config).violates
+
+
+def test_density_operator_eig_is_the_jacobi_spectrum_read_on_first_use():
+    rho = random_density(np.random.default_rng(43), 4)
+    want = herm_eig(rho.op)
+    assert rho.eig.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert rho.eig.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+    assert rho.eig is rho.eig
+    with pytest.raises(AttributeError):
+        rho.eig = want
+
+
+def _rho_with_min_eigenvalue(low, dim):
+    rng = np.random.default_rng(dim)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    return (u * np.concatenate([[low], rest * (1.0 - low) / rest.sum()])) @ u.conj().T
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_density_operator_verdict_at_the_positivity_tolerance(dim):
+    # verdicts and message recorded at commit fc6f290, which decided with herm_eig
+    assert DensityOperator(_rho_with_min_eigenvalue(-1e-9 + 1e-12, dim)).dim == dim
+    with pytest.raises(ValidationError) as failed:
+        DensityOperator(_rho_with_min_eigenvalue(-1e-9 - 1e-12, dim))
+    assert str(failed.value) == "density operator has negative eigenvalue -1.001e-09"
 
 
 def test_spectral_pvm_degenerate():
