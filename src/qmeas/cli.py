@@ -445,7 +445,3 @@ def main(argv=None) -> int:
     except (ValidationError, DimensionMismatchError, RuntimeError, OSError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -39,6 +39,7 @@ _JACOBI_MAX_SWEEPS = 100
 # Entries below the smallest normal float are skipped: dividing by their
 # subnormal modulus overflows the rotation's phase to Inf/NaN.
 _JACOBI_SKIP_BELOW = np.finfo(np.float64).tiny
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class ValidationError(ValueError):
@@ -92,7 +93,7 @@ class Operator:
         return complex(np.trace(self._mat))
 
     def is_hermitian(self) -> bool:
-        return bool(np.abs(self._mat - self._mat.conj().T).max() <= HERMITICITY_TOL)
+        return _hermiticity_residual(self._mat) <= HERMITICITY_TOL
 
     def _require_same_dim(self, other: "Operator"):
         if self.dim != other.dim:
@@ -128,6 +129,20 @@ class Operator:
 
     def __repr__(self):
         return f"Operator(dim={self.dim})"
+
+
+def _capped(r: float) -> float:
+    """r, or the largest float where r is inf or NaN: a residual that fails
+    every tolerance and still prints as a finite number."""
+    return float(r) if math.isfinite(r) else _FLOAT_MAX
+
+
+def _hermiticity_residual(mat: np.ndarray) -> float:
+    """max |m - m^H|, from halves of the entries so that no difference of
+    finite entries overflows; halving is exact for normal floats."""
+    half = 0.5 * mat
+    with np.errstate(over="ignore"):  # the modulus, or twice it, may exceed the float range
+        return _capped(2.0 * np.abs(half - half.conj().T).max())
 
 
 def identity(dim: int) -> Operator:
@@ -176,7 +191,7 @@ class HermitianEig:
 
 
 def _require_hermitian(m: Operator, tol: float, what: str):
-    residual = np.abs(m.mat - m.mat.conj().T).max()
+    residual = _hermiticity_residual(m.mat)
     if residual > tol:
         raise ValidationError(f"{what} must be Hermitian (residual {residual:.3e} > {tol:.0e})")
 

@@ -20,6 +20,8 @@ from .operators import (
     DimensionMismatchError,
     Operator,
     ValidationError,
+    _capped,
+    _hermiticity_residual,
     herm_eig,
 )
 from .states import DensityOperator, Pvm, _expectations
@@ -57,7 +59,7 @@ def _check_effects(effects, tol: float):
             raise PovmValidationError(f"effect {k} is not an Operator")
         if e.dim != dim:
             raise DimensionMismatchError(f"effect {k} has dimension {e.dim}, expected {dim}")
-        herm = np.abs(e.mat - e.mat.conj().T).max()
+        herm = _hermiticity_residual(e.mat)
         if herm > tol:
             raise PovmValidationError(f"effect {k} is not Hermitian (residual {herm:.3e})")
         low = herm_eig(e, tol=tol).eigenvalues[0]
@@ -65,8 +67,9 @@ def _check_effects(effects, tol: float):
             raise PovmValidationError(
                 f"effect {k} is not positive semidefinite (min eigenvalue {low:.3e})"
             )
-    total = sum((e.mat for e in effects), start=np.zeros((dim, dim), dtype=np.complex128))
-    closure = np.abs(total - np.eye(dim)).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # huge effects may sum to inf
+        total = sum((e.mat for e in effects), start=np.zeros((dim, dim), dtype=np.complex128))
+        closure = _capped(np.abs(total - np.eye(dim)).max())
     if closure > tol:
         raise PovmValidationError(f"effects do not sum to identity (closure residual {closure:.3e})")
     return effects

@@ -17,11 +17,10 @@ from .operators import (
     DimensionMismatchError,
     Operator,
     ValidationError,
+    _capped,
     exp_hermitian_generator,
-    identity,
-    partial_trace_second,
-    tensor_product,
 )
+from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
 from .povm import Povm, PovmValidationError, validate_povm
 from .states import DensityOperator, Pvm
 
@@ -66,7 +65,8 @@ class PremeasurementModel:
             raise DimensionMismatchError(
                 f"unitary dimension {u.dim} != {dim_object} * {dim_apparatus}"
             )
-        unitarity = np.abs((u.adjoint() @ u).mat - np.eye(u.dim)).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # U^dagger U may overflow
+            unitarity = _capped(np.abs(u.adjoint().mat @ u.mat - np.eye(u.dim)).max())
         if unitarity > HERMITICITY_TOL:
             raise ValidationError(f"joint operator is not unitary (residual {unitarity:.3e})")
         if rho_a.dim != dim_apparatus:
@@ -82,7 +82,7 @@ class PremeasurementModel:
         self.pointer = pointer
         self.dim_object = dim_object
         self.dim_apparatus = dim_apparatus
-        self._lifted = tuple(_lifted_effects(self))
+        self._lifted = _lifted_effects(self)
 
     @classmethod
     def from_generator(
@@ -104,32 +104,36 @@ class PremeasurementModel:
         )
 
 
-def _joint(rho_o: DensityOperator, model: PremeasurementModel) -> Operator:
-    """U (rho_o x rho_a) U^dagger, not validated as a state."""
+def _joint(rho_o: DensityOperator, model: PremeasurementModel) -> np.ndarray:
+    """U (rho_o x rho_a) U^dagger as an array, not validated as a state."""
     if rho_o.dim != model.dim_object:
         raise DimensionMismatchError(
             f"object state dimension {rho_o.dim} != {model.dim_object}"
         )
-    joint = tensor_product(rho_o.op, model.rho_a.op)
-    return model.u @ joint @ model.u.adjoint()
+    return model.u.mat @ np.kron(rho_o.mat, model.rho_a.mat) @ model.u.adjoint().mat
 
 
 def evolve_joint(rho_o: DensityOperator, model: PremeasurementModel) -> DensityOperator:
-    """Joint post-interaction state U (rho_o x rho_a) U^dagger."""
-    return DensityOperator(_joint(rho_o, model))
+    """Joint post-interaction state U (rho_o x rho_a) U^dagger.  A unitary
+    accepted within HERMITICITY_TOL per entry can move the trace by about
+    d * 1e-9; a trace more than HERMITICITY_TOL from 1 is divided out."""
+    joint = _joint(rho_o, model)
+    trace = np.trace(joint).real
+    return DensityOperator(joint / trace if abs(trace - 1.0) > HERMITICITY_TOL else joint)
 
 
 def _lifted_effects(model: PremeasurementModel):
-    """Yield (I x E_m, M_m) per pointer projector E_m: the projector lifted
-    to the joint space and the object effect it induces.  Run once per model,
-    whose `_lifted` holds the pairs for `induced_povm` and
-    `pointer_consistency`."""
-    eye_o = identity(model.dim_object)
-    weight = tensor_product(eye_o, model.rho_a.op)
-    for proj in model.pointer.projectors:
-        lifted = tensor_product(eye_o, proj)
-        heis = model.u.adjoint() @ lifted @ model.u
-        yield lifted, partial_trace_second(weight @ heis, model.dim_object, model.dim_apparatus)
+    """Read-only stacks of the lifted pointer projectors I x E_m and of the
+    object effects M_m they induce; built once per model, as its `_lifted`."""
+    eye_o = np.eye(model.dim_object, dtype=np.complex128)
+    lifted = np.array([np.kron(eye_o, proj.mat) for proj in model.pointer.projectors])
+    heis = model.u.adjoint().mat @ lifted @ model.u.mat
+    dims = (model.dim_object, model.dim_apparatus)
+    weighted = (np.kron(eye_o, model.rho_a.mat) @ heis).reshape(-1, *dims, *dims)
+    effects = np.einsum("mikjk->mij", weighted)  # trace out the apparatus
+    lifted.flags.writeable = False
+    effects.flags.writeable = False
+    return lifted, effects
 
 
 def induced_povm(model: PremeasurementModel) -> Povm:
@@ -139,10 +143,9 @@ def induced_povm(model: PremeasurementModel) -> Povm:
     Heisenberg-evolved pointer projector, so that
     Tr(rho_o M_m) reproduces the pointer statistics for every object state.
     """
-    effects = [effect for _, effect in model._lifted]
     labels = [f"{lab:g}" for lab in model.pointer.labels]
     try:
-        return validate_povm(effects, labels, tol=INDUCED_POVM_TOL)
+        return validate_povm(model._lifted[1], labels, tol=INDUCED_POVM_TOL)
     except PovmValidationError as exc:
         raise ModelInconsistencyError(f"induced effects violate POVM axioms: {exc}") from exc
 
@@ -155,10 +158,6 @@ def pointer_consistency(rho_o: DensityOperator, model: PremeasurementModel) -> f
     signals an implementation inconsistency.  Both routes read matrices:
     neither the joint state nor the induced effects are validated again.
     """
-    joint = _joint(rho_o, model).mat
-    worst = 0.0
-    for lifted, effect in model._lifted:
-        direct = np.trace(joint @ lifted.mat).real
-        via_povm = np.trace(rho_o.mat @ effect.mat).real
-        worst = max(worst, abs(direct - via_povm))
-    return worst
+    direct = np.trace(_joint(rho_o, model) @ model._lifted[0], axis1=-2, axis2=-1).real
+    via_povm = np.trace(rho_o.mat @ model._lifted[1], axis1=-2, axis2=-1).real
+    return float(np.abs(direct - via_povm).max())

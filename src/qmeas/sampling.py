@@ -47,19 +47,12 @@ class Lcg64:
 
 
 def _jump_table(size: int):
-    """uint64 arrays (A_k, C_k), k = 1..K for the first power of two K >= size,
-    such that k LCG steps take state s to A_k * s + C_k mod 2^64.
-
-    Doubling: step m + j is step j applied after step m.  Every product is an
-    array operation, which wraps silently where a numpy scalar product warns.
-    """
-    mult = np.array([LCG_MULTIPLIER], dtype=np.uint64)
-    incr = np.array([LCG_INCREMENT], dtype=np.uint64)
-    while len(mult) < size:
-        mult, incr = (
-            np.concatenate((mult, mult * mult[-1:])),
-            np.concatenate((incr, mult * incr[-1:] + incr)),
-        )
+    """uint64 arrays (A_k, C_k), k = 1..size, such that k LCG steps take
+    state s to A_k * s + C_k mod 2^64: A_k = a^k is a cumulative product and
+    C_k = c (a^(k-1) + ... + 1) a cumulative sum.  Array arithmetic on uint64
+    wraps silently, where a numpy scalar product warns."""
+    mult = np.cumprod(np.full(size, LCG_MULTIPLIER, dtype=np.uint64))
+    incr = np.cumsum(np.concatenate((np.ones(1, np.uint64), mult[:-1]))) * np.uint64(LCG_INCREMENT)
     return mult, incr
 
 

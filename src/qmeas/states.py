@@ -14,6 +14,7 @@ from .operators import (
     HermitianEig,
     Operator,
     ValidationError,
+    _capped,
     _require_hermitian,
     _symmetrized,
     herm_eig,
@@ -118,7 +119,8 @@ class Pvm:
             if p.dim != dim:
                 raise DimensionMismatchError(f"projector {k} has dimension {p.dim}, expected {dim}")
             _require_hermitian(p, HERMITICITY_TOL, f"projector {k}")
-            idem = np.abs((p @ p).mat - p.mat).max()
+            with np.errstate(over="ignore", invalid="ignore"):  # p @ p may overflow
+                idem = _capped(np.abs(p.mat @ p.mat - p.mat).max())
             if idem > HERMITICITY_TOL:
                 raise ValidationError(f"projector {k} is not idempotent (residual {idem:.3e})")
         for i in range(len(projectors)):

@@ -530,6 +530,36 @@ def test_premeasure_with_unitary_accepted_at_1e_9_runs(tmp_path, capsys):
     assert _csv_values(out)[:, -1].max() <= 1e-15
 
 
+HUGE_SKEW = np.array([[0, 1.7e308], [-1.7e308, 0]])
+X_HUGE = 1e200 * (1 + 1j)
+HUGE_PRODUCTS = [
+    ("rho-apparatus", dict(rho_apparatus=pairs(HUGE_SKEW)),
+     "rho_apparatus: density operator must be Hermitian (residual 1.798e+308 > 1e-09)"),
+    ("hamiltonian", dict(hamiltonian=pairs(np.kron(np.eye(2), HUGE_SKEW)), time=1.0),
+     "unitary: eigensolver input must be Hermitian (residual 1.798e+308 > 1e-09)"),
+    ("pointer", dict(pointer=[pairs([[0.5, X_HUGE], [np.conj(X_HUGE), 0.5]]),
+                              pairs([[0.5, -X_HUGE], [-np.conj(X_HUGE), 0.5]])]),
+     "pointer: projector 0 is not idempotent (residual 1.798e+308)"),
+    ("unitary", dict(unitary=pairs(1e200 * np.eye(4))),
+     "unitary: joint operator is not unitary (residual 1.798e+308)"),
+]
+
+
+@pytest.mark.parametrize(
+    "changes,message", [c[1:] for c in HUGE_PRODUCTS], ids=[c[0] for c in HUGE_PRODUCTS]
+)
+def test_premeasure_residuals_near_the_float_maximum_print_finite(
+    tmp_path, capsys, changes, message
+):
+    # These printed "residual inf", or hid an overflowing product behind
+    # "operator entries must be finite", with RuntimeWarnings.
+    config = identity_premeasure(2, 2)
+    if "hamiltonian" in changes:
+        del config["unitary"]
+    text = json.dumps(dict(config, **changes))
+    assert run_main(tmp_path, capsys, text) == (1, "", f"config error: {message}\n")
+
+
 def test_subnormal_angle_prints_what_angle_zero_prints(tmp_path, capsys):
     # A subnormal angle leaves subnormal off-diagonal entries in the d = 4 cells,
     # which the eigensolver used to rotate on (RuntimeWarnings, NaN eigenvalues).

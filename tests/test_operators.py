@@ -5,6 +5,7 @@ import pytest
 from helpers import random_hermitian
 
 from qmeas import operators
+from qmeas.nonideality import check_heisenberg
 from qmeas.operators import (
     DimensionMismatchError,
     EigensolverError,
@@ -19,6 +20,8 @@ from qmeas.operators import (
     tensor_product,
     zeros,
 )
+from qmeas.povm import Povm
+from qmeas.states import DensityOperator, Pvm, expectation, maximally_mixed
 
 
 def test_constructor_rejects_non_square():
@@ -242,3 +245,39 @@ def test_herm_eig_symmetrizes_entries_near_the_float_maximum():
     assert herm_eig(Operator([[1e308, 0], [0, 1]])).eigenvalues.tolist() == [1.0, 1e308]
     got = herm_eig(Operator([[1.7e308, 0], [0, -1.7e308]])).eigenvalues
     assert got.tolist() == [-1.7e308, 1.7e308]
+
+
+# Entries near the float maximum: m - m^H overflowed to inf before it was
+# formed from halves, and the checks printed "residual inf".
+HUGE_SKEW = Operator([[0, 1.7e308], [-1.7e308, 0]])
+HALF_I = Operator(np.eye(2) / 2)
+HUGE_SKEW_CHECKS = {
+    "density": lambda: DensityOperator(HUGE_SKEW),
+    "herm_eig": lambda: herm_eig(HUGE_SKEW),
+    "povm": lambda: Povm([HUGE_SKEW, HALF_I]),
+    "pvm": lambda: Pvm([HUGE_SKEW, HALF_I], [0, 1]),
+    "expectation": lambda: expectation(maximally_mixed(2), HUGE_SKEW),
+    "heisenberg": lambda: check_heisenberg(maximally_mixed(2), HALF_I, HUGE_SKEW),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("check", HUGE_SKEW_CHECKS.values(), ids=HUGE_SKEW_CHECKS.keys())
+def test_hermiticity_checks_print_a_finite_residual_near_the_float_maximum(check):
+    with pytest.raises(ValidationError, match=r"Hermitian \(residual 1\.798e\+308") as info:
+        check()
+    assert "inf" not in str(info.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_is_hermitian_near_the_float_maximum():
+    assert not HUGE_SKEW.is_hermitian()
+    assert Operator([[1.7e308, 1.7e308j], [-1.7e308j, -1.7e308]]).is_hermitian()
+
+
+def test_hermiticity_residual_matches_the_plain_difference():
+    rng = np.random.default_rng(41)
+    for scale in (1e-300, 1e-9, 1.0, 1e9, 1e300):
+        for _ in range(50):
+            m = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            assert operators._hermiticity_residual(m) == np.abs(m - m.conj().T).max()

@@ -424,3 +424,26 @@ def test_marginals_and_flattenings_keep_their_bytes():
             digest.update(out.grid.tobytes())
             digest.update(repr((out.axis_labels, out)).encode())
     assert digest.hexdigest() == "aea8f91337c4e8c9a7f6bfd420b9bacaf57e842731f5ef4761ec69ad6c76e45e"
+
+
+X_HUGE = 1e200 * (1 + 1j)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        # Hermitian, but p @ p overflows: reported as "entries must be finite" before
+        (lambda: Pvm([Operator([[0.5, X_HUGE], [np.conj(X_HUGE), 0.5]]),
+                      Operator([[0.5, -X_HUGE], [-np.conj(X_HUGE), 0.5]])], [0, 1]),
+         "projector 0 is not idempotent (residual 1.798e+308)"),
+        # positive effects whose sum overflows: "closure residual inf" before
+        (lambda: Povm([Operator(np.diag([1.7e308, 0])), Operator(np.diag([1.7e308, 0]))]),
+         "effects do not sum to identity (closure residual 1.798e+308)"),
+    ],
+    ids=["pvm-idempotence", "povm-closure"],
+)
+def test_residuals_print_finite_when_a_product_or_sum_overflows(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message

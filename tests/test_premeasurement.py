@@ -9,6 +9,7 @@ from qmeas.operators import (
     ValidationError,
     exp_hermitian_generator,
     identity,
+    partial_trace_second,
     tensor_product,
 )
 from qmeas.povm import Povm
@@ -226,6 +227,48 @@ def test_lifted_products_are_built_once_per_model(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("lifted effect rebuilt")
 
-    monkeypatch.setattr("qmeas.premeasurement.partial_trace_second", refuse)
+    monkeypatch.setattr("qmeas.premeasurement._lifted_effects", refuse)
     assert all(np.array_equal(e.mat, x) for e, x in zip(induced_povm(model).effects, expected))
     assert pointer_consistency(rho_o, model) < 1e-9
+
+
+def test_lifted_stacks_are_read_only():
+    lifted, effects = cnot_model()._lifted
+    for stack in (lifted, effects):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 4)])
+def test_induced_effects_equal_the_operator_chain_bit_for_bit(dims):
+    # reference: the per-outcome Operator chain, through tensor_product and partial_trace_second
+    rng = np.random.default_rng([7, *dims])
+    for _ in range(3):
+        model = hamiltonian_model(rng, *dims)
+        eye = identity(dims[0])
+        weight = tensor_product(eye, model.rho_a.op)
+        reference = [
+            partial_trace_second(
+                weight @ (model.u.adjoint() @ tensor_product(eye, proj) @ model.u), *dims
+            ).mat
+            for proj in model.pointer.projectors
+        ]
+        assert np.array_equal(induced_povm(model).grid, np.array(reference))
+
+
+def test_evolve_joint_accepts_a_unitary_the_model_accepted():
+    # The unitarity residual is 9.8e-10, inside the model's 1e-9 check, but the
+    # joint trace drifts by 1.5e-8: evolve_joint raised "trace is 1.0000000147+0j".
+    plus = pure_state(np.full(4, 0.5))
+    unitary = Operator(np.eye(16) + 4.9e-10 * (np.ones((16, 16)) - np.eye(16)))
+    pointer = Pvm([Operator(np.diag(np.eye(4)[k])) for k in range(4)], range(4))
+    joint = evolve_joint(plus, PremeasurementModel(plus, unitary, pointer, 4, 4))
+    assert abs(joint.op.trace() - 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unitarity_residual_is_finite_when_the_product_overflows():
+    with pytest.raises(ValidationError, match=r"not unitary \(residual 1\.798e\+308\)$"):
+        PremeasurementModel(
+            pure_state([1, 0]), Operator(1e200 * np.eye(4)), computational_pointer(), 2, 2
+        )

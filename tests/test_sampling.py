@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmeas.operators import ValidationError
 from qmeas.sampling import _BLOCK as BLOCK
+from qmeas.sampling import _jump_table
 from qmeas.sampling import LCG_INCREMENT, LCG_MULTIPLIER, Lcg64, sample_counts
 
 
@@ -100,6 +101,16 @@ def test_sample_counts_equal_the_per_draw_stream(seed):
             expected = reference_counts(probs, draws[:n])
             assert counts.dtype == expected.dtype
             assert np.array_equal(counts, expected), (n, probs.shape)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_jump_table_entry_k_is_k_generator_steps(seed):
+    rng = Lcg64(seed)
+    states = [rng.next_uint64() for _ in range(BLOCK)]
+    for k in (1, 2, 3, BLOCK - 1, BLOCK):
+        mult, incr = _jump_table(k)
+        assert mult.dtype == incr.dtype == np.uint64 and len(mult) == len(incr) == k
+        assert (int(mult[-1]) * seed + int(incr[-1])) % 2**64 == states[k - 1], k
 
 
 def test_sample_counts_frozen_reference():
