@@ -260,8 +260,6 @@ def quadruple_sample_check(
     total-variation distance must fall below 3 sqrt(ln(16)/n); a larger
     distance means the sampler is broken and raises.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     exact = distribution(rho, eprbell_povm(c))
     counts = sample_counts(exact.probabilities, n_samples, seed)
     empirical = OutcomeDistribution(counts / float(n_samples))

@@ -29,7 +29,7 @@ from .operators import (
     herm_eig,
 )
 from .povm import BivariatePovm, Povm, marginal
-from .states import DensityOperator, Pvm, std_dev
+from .states import DensityOperator, Pvm, _scaled_std_dev
 
 __all__ = [
     "InequalityReport",
@@ -252,7 +252,11 @@ def check_heisenberg(rho: DensityOperator, a: Operator, b: Operator) -> Inequali
         )
     _require_hermitian(a, HERMITICITY_TOL, "first observable")
     _require_hermitian(b, HERMITICITY_TOL, "second observable")
-    lhs = std_dev(rho, a) * std_dev(rho, b)
-    commutator = a.mat @ b.mat - b.mat @ a.mat
-    rhs = 0.5 * abs(complex(np.trace(rho.mat @ commutator)))
-    return InequalityReport.from_sides(lhs, rhs, tol=HERMITICITY_TOL)
+    # on a / 2^ea and b / 2^eb no product overflows, and 2^(ea + eb) scales back exactly
+    s_a, a_s, ea = _scaled_std_dev(rho, a)
+    s_b, b_s, eb = _scaled_std_dev(rho, b)
+    lhs = s_a * s_b
+    rhs = 0.5 * abs(complex(np.trace(rho.mat @ (a_s @ b_s - b_s @ a_s))))
+    with np.errstate(over="ignore"):  # a side beyond the float range reads inf, never NaN
+        lhs, rhs, slack = (float(np.ldexp(x, ea + eb)) for x in (lhs, rhs, lhs - rhs))
+    return InequalityReport(lhs, rhs, slack >= -HERMITICITY_TOL, slack, HERMITICITY_TOL)

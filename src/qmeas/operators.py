@@ -25,11 +25,8 @@ __all__ = [
     "exp_hermitian_generator",
     "herm_eig",
     "identity",
-    "is_positive_semidefinite",
-    "partial_trace_first",
     "partial_trace_second",
     "tensor_product",
-    "zeros",
 ]
 
 HERMITICITY_TOL = 1e-9
@@ -55,7 +52,7 @@ class SolverError(RuntimeError):
 
 
 class EigensolverError(SolverError):
-    """The Jacobi eigensolver hit its sweep cap, or its iterate went non-finite."""
+    """Jacobi hit its sweep cap or went non-finite, or a density operator's `eigh` failed."""
 
 
 class Operator:
@@ -149,10 +146,6 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=np.complex128))
 
 
-def zeros(dim: int) -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=np.complex128))
-
-
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product with `a` as the slow (left) index."""
     return Operator(np.kron(a.mat, b.mat))
@@ -168,19 +161,9 @@ def partial_trace_second(m: Operator, dim_first: int, dim_second: int) -> Operat
     return Operator(np.einsum("ikjk->ij", blocks))
 
 
-def partial_trace_first(m: Operator, dim_first: int, dim_second: int) -> Operator:
-    """Trace out the first tensor factor."""
-    if dim_first * dim_second != m.dim:
-        raise DimensionMismatchError(
-            f"cannot split dimension {m.dim} as {dim_first} x {dim_second}"
-        )
-    blocks = m.mat.reshape(dim_first, dim_second, dim_first, dim_second)
-    return Operator(np.einsum("ikil->kl", blocks))
-
-
 @dataclass(frozen=True)
 class HermitianEig:
-    """Spectral data of a Hermitian operator.
+    """Spectral data of a Hermitian operator, stored read-only.
 
     eigenvalues are real and ascending; eigenvectors[:, k] is the unit
     eigenvector belonging to eigenvalues[k].
@@ -188,6 +171,10 @@ class HermitianEig:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        self.eigenvalues.flags.writeable = False
+        self.eigenvectors.flags.writeable = False
 
 
 def _require_hermitian(m: Operator, tol: float, what: str):
@@ -257,8 +244,6 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     order = np.argsort(a.diagonal().real)
     eigenvalues = a.diagonal().real[order].copy()
     eigenvectors = v[:, order].copy()
-    eigenvalues.flags.writeable = False
-    eigenvectors.flags.writeable = False
     return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
@@ -268,10 +253,3 @@ def exp_hermitian_generator(h: Operator, t: float) -> Operator:
     phases = np.exp(-1j * eig.eigenvalues * t)
     vecs = eig.eigenvectors
     return Operator((vecs * phases) @ vecs.conj().T)
-
-
-def is_positive_semidefinite(m: Operator) -> bool:
-    """True iff m is Hermitian and all eigenvalues are >= -tol, with tol = HERMITICITY_TOL."""
-    if not m.is_hermitian():
-        return False
-    return bool(herm_eig(m).eigenvalues[0] >= -HERMITICITY_TOL)

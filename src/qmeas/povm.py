@@ -264,7 +264,8 @@ class OutcomeDistribution:
             raise ValidationError("probabilities must be finite (no NaN/Inf)")
         if arr.min() < -HERMITICITY_TOL:
             raise ValidationError(f"probability {arr.min():.3e} below -{HERMITICITY_TOL:.0e}")
-        total = float(arr.sum())
+        with np.errstate(over="ignore"):  # entries near the float maximum may sum past it
+            total = _capped(arr.sum())
         if abs(total - 1.0) > HERMITICITY_TOL:
             raise ValidationError(f"probabilities sum to {total:.12g}, expected 1")
         arr.flags.writeable = False

@@ -18,6 +18,7 @@ uint64 array expression.  Its counts equal those of the per-draw stream of
 
 import numpy as np
 
+from .operators import ValidationError
 from .povm import OutcomeDistribution
 
 __all__ = ["Lcg64", "sample_counts"]
@@ -67,7 +68,7 @@ def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
     """
     probs = OutcomeDistribution(probabilities).probabilities
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     flat = np.clip(probs.reshape(-1), 0.0, None)
     cumulative = np.cumsum(flat)
     top = len(flat) - 1

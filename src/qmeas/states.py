@@ -11,6 +11,7 @@ import numpy as np
 from .operators import (
     HERMITICITY_TOL,
     DimensionMismatchError,
+    EigensolverError,
     HermitianEig,
     Operator,
     ValidationError,
@@ -48,9 +49,9 @@ class DensityOperator:
     """Positive-semidefinite unit-trace operator representing a preparation.
 
     Validation is eager: hermiticity, positivity and unit trace are checked
-    on construction, each within HERMITICITY_TOL.  Positivity is decided by
-    LAPACK's `eigvalsh` on the matrix `herm_eig` would iterate on; the Jacobi
-    spectrum is computed only when `eig` is first read.
+    on construction, each within HERMITICITY_TOL.  One LAPACK `eigh` of the
+    symmetrized matrix decides positivity, gives the rejection message its
+    eigenvalue and is kept, read-only, as `eig`.
     """
 
     __slots__ = ("op", "_eig")
@@ -59,20 +60,23 @@ class DensityOperator:
         if not isinstance(op, Operator):
             op = Operator(op)
         _require_hermitian(op, HERMITICITY_TOL, "density operator")
-        if np.linalg.eigvalsh(_symmetrized(op))[0] < -HERMITICITY_TOL:
-            low = herm_eig(op).eigenvalues[0]  # reported as `eig` would report it
-            raise ValidationError(f"density operator has negative eigenvalue {low:.3e}")
-        tr = op.trace()
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(_symmetrized(op))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"LAPACK eigh failed on a density operator: {exc}") from exc
+        if eigenvalues[0] < -HERMITICITY_TOL:
+            raise ValidationError(f"density operator has negative eigenvalue {eigenvalues[0]:.3e}")
+        with np.errstate(over="ignore"):  # diagonal entries near the float maximum may sum past it
+            tr = op.trace()
         if abs(tr - 1.0) > HERMITICITY_TOL:
+            tr = complex(_capped(tr.real), tr.imag)
             raise ValidationError(f"density operator trace is {tr:.12g}, expected 1")
         self.op = op
-        self._eig = None
+        self._eig = HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
     @property
     def eig(self) -> HermitianEig:
-        """Jacobi spectral data, computed on first use (by `std_dev`)."""
-        if self._eig is None:
-            self._eig = herm_eig(self.op)
+        """Spectral data from the constructor's `eigh` (read by `std_dev`)."""
         return self._eig
 
     @property
@@ -185,20 +189,32 @@ def expectation(rho: DensityOperator, m: Operator) -> float:
     return float(_expectations(rho, m.mat))
 
 
+def _scaled_std_dev(rho: DensityOperator, a: Operator):
+    """(s, a / 2^e, e) with std_dev(rho, a) = s * 2^e, e the binary exponent
+    of a's largest real or imaginary part: no square of a / 2^e overflows,
+    and dividing normal entries by a power of two is exact."""
+    mean = expectation(rho, a)
+    parts = a.mat.view(np.float64)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    scaled = np.ldexp(parts, -e).view(np.complex128)
+    centered = scaled - np.ldexp(mean, -e) * np.eye(a.dim)
+    columns = centered @ rho.eig.eigenvectors
+    weights = np.maximum(rho.eig.eigenvalues, 0.0)
+    variance = float((weights * (np.abs(columns) ** 2).sum(axis=0)).sum())
+    return float(np.sqrt(max(variance, 0.0))), scaled, e
+
+
 def std_dev(rho: DensityOperator, a: Operator) -> float:
     """Standard deviation sqrt(<A^2> - <A>^2) of a Hermitian observable.
 
     Computed as the centered moment sum_i w_i |(A - <A>) v_i|^2 over the
     state's spectral decomposition, a sum of nonnegative terms; the naive
     difference of moments loses to round-off exactly on eigenstates, where
-    this must vanish.
+    this must vanish.  A is first divided by a power of two, so no square overflows.
     """
-    mean = expectation(rho, a)
-    centered = a.mat - mean * np.eye(a.dim)
-    columns = centered @ rho.eig.eigenvectors
-    weights = np.maximum(rho.eig.eigenvalues, 0.0)
-    variance = float((weights * (np.abs(columns) ** 2).sum(axis=0)).sum())
-    return float(np.sqrt(max(variance, 0.0)))
+    s, _, e = _scaled_std_dev(rho, a)
+    with np.errstate(over="ignore"):  # a deviation beyond the float range reads inf
+        return float(np.ldexp(s, e))
 
 
 def polarization_projector(theta: float) -> Operator:

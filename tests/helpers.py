@@ -19,3 +19,9 @@ def random_density(rng, dim):
 
 def random_unitary(rng, dim):
     return exp_hermitian_generator(random_hermitian(rng, dim), 1.0)
+
+
+def partial_trace_first(m, dim_first, dim_second):
+    """Reference partial trace over the first tensor factor of an Operator."""
+    blocks = m.mat.reshape(dim_first, dim_second, dim_first, dim_second)
+    return Operator(np.einsum("ikil->kl", blocks))

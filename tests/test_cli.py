@@ -502,6 +502,20 @@ def test_main_reports_eigensolver_non_convergence_as_solver_error(tmp_path, caps
     assert "nan" not in err.lower()
 
 
+def test_main_reports_a_failed_density_operator_eigh_as_solver_error(monkeypatch, capsys):
+    # numpy's LinAlgError is a plain ValueError, which main used to let through as a traceback
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["run", "--config", str(ROOT / "configs" / "epr_bell.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "solver error: LAPACK eigh failed on a density operator: Eigenvalues did not converge\n"
+    )
+
+
 def test_main_keeps_the_sampler_consistency_check_a_domain_error(monkeypatch, capsys):
     # a plain RuntimeError, not a SolverError: it exits 2, not 3
     def first_outcome_only(probabilities, n_samples, seed):

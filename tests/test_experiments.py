@@ -292,5 +292,5 @@ def test_sample_check_empirical_chsh_stays_classical():
 
 
 def test_sample_check_requires_positive_samples():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^n_samples must be >= 1, got 0$"):
         quadruple_sample_check(entangled_pair_state(), _config(0.5, 0.5), 0, seed=1)

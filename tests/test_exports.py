@@ -24,3 +24,16 @@ def test_importing_the_package_does_not_load_the_cli():
     code = "import sys, qmeas; print('qmeas.cli' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_cli_imports_nothing_beyond_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency; a stray import would make it two.
+    code = (
+        "import sys; before = set(sys.modules); import qmeas.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+        "- {m.split('.')[0] for m in before})))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    added = set(out.stdout.split())
+    assert "numpy" in added and "qmeas" in added
+    assert added - {"numpy", "qmeas"} - sys.stdlib_module_names == set()

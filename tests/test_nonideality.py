@@ -24,10 +24,12 @@ from qmeas.povm import BivariatePovm, Povm, validate_povm
 from qmeas.states import (
     PAULI_X,
     PAULI_Y,
+    expectation,
     polarization_projector,
     polarization_pvm,
     pure_state,
     spectral_pvm,
+    std_dev,
 )
 from qmeas.experiments import WhichWayConfig, whichway_povm
 
@@ -256,6 +258,46 @@ def test_check_heisenberg_random_triples():
         )
         assert rep.slack >= -1e-9
         assert rep.satisfied
+
+
+def _plain_heisenberg(rho, a, b):
+    """The unscaled Robertson sides, as computed before operators were scaled."""
+
+    def spread(m):
+        centered = m.mat - expectation(rho, m) * np.eye(m.dim)
+        columns = centered @ rho.eig.eigenvectors
+        weights = np.maximum(rho.eig.eigenvalues, 0.0)
+        return float(np.sqrt(max(float((weights * (np.abs(columns) ** 2).sum(axis=0)).sum()), 0.0)))
+
+    lhs = spread(a) * spread(b)
+    rhs = 0.5 * abs(complex(np.trace(rho.mat @ (a.mat @ b.mat - b.mat @ a.mat))))
+    return lhs, rhs, lhs - rhs
+
+
+def test_check_heisenberg_keeps_its_bits_at_ordinary_scales():
+    rng = np.random.default_rng(11)
+    for k in range(60):
+        dim, scale = 2 + k % 3, 10.0 ** rng.uniform(-3, 3)
+        rho = random_density(rng, dim)
+        a, b = scale * random_hermitian(rng, dim), random_hermitian(rng, dim)
+        rep = check_heisenberg(rho, a, b)
+        assert (rep.lhs, rep.rhs, rep.slack) == _plain_heisenberg(rho, a, b)
+        assert std_dev(rho, a) == math.sqrt(_plain_heisenberg(rho, a, a)[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_robertson_sides_stay_finite_where_the_true_values_are():
+    # the squares of 1e200 and the commutator's products overflowed: inf, then NaN
+    rho, a = pure_state([1, 1]), Operator(np.diag([1e200, -1e200]))
+    assert std_dev(rho, a) == pytest.approx(1e200, rel=1e-12)
+    assert std_dev(rho, Operator(np.diag([1e-200, -1e-200]))) == pytest.approx(1e-200, rel=1e-12)
+    rep = check_heisenberg(rho, a, Operator(np.zeros((2, 2))))
+    assert (rep.lhs, rep.rhs, rep.slack, rep.satisfied) == (0.0, 0.0, 0.0, True)
+    rep = check_heisenberg(rho, a, a)
+    assert (rep.rhs, rep.satisfied) == (0.0, True)
+    # spin-half equality at 1e200: both sides read inf, the slack is still exactly 0
+    rep = check_heisenberg(pure_state([1, 0]), 1e200 * PAULI_X, 1e200 * PAULI_Y)
+    assert (rep.lhs, rep.rhs, rep.slack, rep.satisfied) == (math.inf, math.inf, 0.0, True)
 
 
 def test_inequality_report_consistency():

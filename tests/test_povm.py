@@ -7,7 +7,7 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.operators import DimensionMismatchError, Operator, ValidationError, identity, zeros
+from qmeas.operators import DimensionMismatchError, Operator, ValidationError, identity
 from qmeas.povm import (
     BivariatePovm,
     OutcomeDistribution,
@@ -295,18 +295,18 @@ def _quad_cells():
 
 def test_grids_reject_ragged_cells():
     # the flat cells form a valid POVM; only the nesting is ragged
-    e = polarization_projector(0.3)
+    e, zero = polarization_projector(0.3), Operator(np.zeros((2, 2)))
     with pytest.raises(PovmValidationError, match="uniform"):
-        BivariatePovm([[e, zeros(2), zeros(2)], [identity(2) - e]], ["+", "-"], ["+", "-"])
+        BivariatePovm([[e, zero, zero], [identity(2) - e]], ["+", "-"], ["+", "-"])
     cells = _quad_cells()
-    cells[1][1][1] = cells[1][1][1] + [zeros(4)]
+    cells[1][1][1] = cells[1][1][1] + [Operator(np.zeros((4, 4)))]
     with pytest.raises(PovmValidationError, match="uniform"):
         QuadrivariatePovm(cells)
 
 
 def test_grids_reject_label_length_mismatch():
-    e = polarization_projector(0.3)
-    cells = [[e, zeros(2)], [zeros(2), identity(2) - e]]
+    e, zero = polarization_projector(0.3), Operator(np.zeros((2, 2)))
+    cells = [[e, zero], [zero, identity(2) - e]]
     with pytest.raises(PovmValidationError, match="label"):
         BivariatePovm(cells, ["+", "-", "?"], ["+", "-"])
     quad = _quad_cells()
@@ -342,7 +342,7 @@ def test_bivariate_grid_shape_and_labels():
     assert grid.shape == (2, 2)
     assert grid.row_labels == ("+", "-")
     assert grid.col_labels == ("+", "-")
-    assert np.abs(grid.effect(0, 0).mat - zeros(2).mat).max() == 0.0
+    assert np.abs(grid.effect(0, 0).mat - np.zeros((2, 2))).max() == 0.0
     flat = grid.flatten()
     assert flat.outcome_labels == ("+,+", "+,-", "-,+", "-,-")
 
@@ -447,3 +447,10 @@ def test_residuals_print_finite_when_a_product_or_sum_overflows(build, message):
     with pytest.raises(ValidationError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_distribution_sum_overflow_prints_finite():
+    with pytest.raises(ValidationError) as failed:
+        OutcomeDistribution([1.7e308, 1.7e308])
+    assert str(failed.value) == "probabilities sum to 1.79769313486e+308, expected 1"

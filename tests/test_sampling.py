@@ -69,7 +69,7 @@ def test_sample_counts_degenerate_distribution():
 
 
 def test_sample_counts_requires_positive_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"^n_samples must be >= 1, got 0$"):
         sample_counts(np.array([1.0]), 0, seed=1)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_density, random_hermitian
+from helpers import partial_trace_first, random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +9,6 @@ from qmeas.experiments import EprBellConfig, WhichWayConfig, chsh_single_setup
 from qmeas.operators import (
     Operator,
     ValidationError,
-    herm_eig,
-    partial_trace_first,
     partial_trace_second,
 )
 from qmeas.states import (
@@ -52,25 +50,34 @@ def test_density_operator_validation():
         DensityOperator(Operator([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
 
 
-def test_density_operators_are_validated_without_the_jacobi_solver(monkeypatch):
+def _refuse_herm_eig(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("herm_eig called")
 
     monkeypatch.setattr(states, "herm_eig", refuse)
+
+
+def test_density_operators_are_validated_without_the_jacobi_solver(monkeypatch):
+    _refuse_herm_eig(monkeypatch)
     rho = random_density(np.random.default_rng(41), 4)
     assert pure_state([1, 1j]).dim == 2
     config = EprBellConfig(WhichWayConfig(0.1, 0.9, 0.3), WhichWayConfig(0.4, 1.3, 0.8))
     assert not chsh_single_setup(rho, config).violates
+    assert std_dev(rho, Operator(np.eye(4))) == 0.0
 
 
-def test_density_operator_eig_is_the_jacobi_spectrum_read_on_first_use():
-    rho = random_density(np.random.default_rng(43), 4)
-    want = herm_eig(rho.op)
-    assert rho.eig.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-    assert rho.eig.eigenvectors.tobytes() == want.eigenvectors.tobytes()
-    assert rho.eig is rho.eig
+def test_density_operator_eig_is_eigh_of_the_symmetrized_matrix():
+    m = random_density(np.random.default_rng(43), 4).mat
+    m = m + 1e-12 * np.triu(np.ones((4, 4)), 1)  # Hermitian within tolerance, not exactly
+    rho = DensityOperator(m)
+    half = 0.5 * rho.mat
+    values, vectors = np.linalg.eigh(half + half.conj().T)
+    assert rho.eig.eigenvalues.tobytes() == values.tobytes()
+    assert rho.eig.eigenvectors.tobytes() == vectors.tobytes()
+    assert not rho.eig.eigenvalues.flags.writeable
+    assert not rho.eig.eigenvectors.flags.writeable
     with pytest.raises(AttributeError):
-        rho.eig = want
+        rho.eig = rho.eig
 
 
 def _rho_with_min_eigenvalue(low, dim):
@@ -81,12 +88,20 @@ def _rho_with_min_eigenvalue(low, dim):
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
-def test_density_operator_verdict_at_the_positivity_tolerance(dim):
+def test_density_operator_verdict_at_the_positivity_tolerance(dim, monkeypatch):
+    _refuse_herm_eig(monkeypatch)
     # verdicts and message recorded at commit fc6f290, which decided with herm_eig
     assert DensityOperator(_rho_with_min_eigenvalue(-1e-9 + 1e-12, dim)).dim == dim
     with pytest.raises(ValidationError) as failed:
         DensityOperator(_rho_with_min_eigenvalue(-1e-9 - 1e-12, dim))
     assert str(failed.value) == "density operator has negative eigenvalue -1.001e-09"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_operator_trace_overflow_prints_finite():
+    with pytest.raises(ValidationError) as failed:
+        DensityOperator(Operator(np.diag([1.7e308, 1.7e308])))
+    assert str(failed.value) == "density operator trace is 1.79769313486e+308+0j, expected 1"
 
 
 def test_spectral_pvm_degenerate():

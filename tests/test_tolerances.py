@@ -15,7 +15,7 @@ KEPT = {
     "povm.Povm": "induced_povm validates at 1e-8, everything else at 1e-9",
     "povm.validate_povm": "induced_povm validates at 1e-8, everything else at 1e-9",
     "nonideality.InequalityReport": "record field: the tolerance from_sides applied",
-    "nonideality.InequalityReport.from_sides": "Martens uses 1e-6, Heisenberg 1e-9",
+    "nonideality.InequalityReport.from_sides": "Martens uses 1e-6, the default is 1e-9",
     "cli.run": "the documented --tol option",
 }
 
