@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonideality import joint_nonideal_decomposition, martens_bound, row_entropy_measure
+from .nonideality import _recover, _target_data, joint_nonideal_decomposition
+from .nonideality import martens_bound, row_entropy_measure
 from .operators import ValidationError
 from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
-from .povm import BivariatePovm, OutcomeDistribution, QuadrivariatePovm, distribution
+from .povm import BivariatePovm, OutcomeDistribution, Povm, QuadrivariatePovm, distribution, marginal
 from .sampling import sample_counts
 from .states import DensityOperator, polarization_projector, polarization_pvm
 
@@ -146,13 +147,17 @@ class SweepPoint:
 
 def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
     """Entropy pair (J_lam, J_mu) of the which-way experiment on a uniform
-    gamma grid, with the overlap bound and the slack of J_lam + J_mu."""
+    gamma grid, with the overlap bound and the slack of J_lam + J_mu.  The
+    two targets do not depend on gamma, so their recovery data is built once."""
     if n_points < 2:
         raise ValidationError(f"n_points must be >= 2, got {n_points}")
-    bound = martens_bound(polarization_pvm(theta), polarization_pvm(theta_prime))
+    pvms = polarization_pvm(theta), polarization_pvm(theta_prime)
+    bound = martens_bound(*pvms)
+    targets = [_target_data(Povm.from_pvm(p)) for p in pvms]
     points = []
     for gamma in np.linspace(0.0, 1.0, n_points):
-        lam, mu = whichway_nonideality(WhichWayConfig(theta, theta_prime, float(gamma)))
+        r = whichway_povm(WhichWayConfig(theta, theta_prime, float(gamma)))
+        lam, mu = (_recover(marginal(r, ax).grid, *t) for ax, t in zip(("row", "col"), targets))
         j_lam = row_entropy_measure(lam)
         j_mu = row_entropy_measure(mu)
         points.append(

@@ -137,13 +137,25 @@ def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
     simplices; the objective is a small convex quadratic, so a step of
     1/L with backtracking converges fast at these sizes.  A residual near
     zero (< 1e-7) certifies that m really is a nonideal version of n.
-    Raises RecoveryError after MAX_SOLVER_ITERATIONS, read at call time.
+    The private core `_recover` raises RecoveryError after MAX_SOLVER_ITERATIONS, read at call time.
     """
     if m.dim != n.dim:
         raise DimensionMismatchError(f"POVM dimensions differ: {m.dim} vs {n.dim}")
-    me, ne = m.grid, n.grid
+    return _recover(m.grid, *_target_data(n))
+
+
+def _target_data(n: Povm) -> tuple:
+    """(effects, Gram matrix, step 1/L) of a recovery target; L, twice the Gram
+    matrix's largest eigenvalue, is the Lipschitz constant of the gradient."""
+    ne = n.grid
     # Frobenius inner products; all real since effects are Hermitian.
     gram = np.einsum("aij,bji->ab", ne, ne).real
+    lipschitz = 2.0 * float(herm_eig(Operator(gram)).eigenvalues[-1])
+    return ne, gram, 1.0 / lipschitz if lipschitz > 0 else 1.0
+
+
+def _recover(me: np.ndarray, ne: np.ndarray, gram: np.ndarray, step: float) -> NonidealityMatrix:
+    """`recover_nonideality` on the effect stack of m and the target data of n."""
     cross = np.einsum("mij,nji->mn", me, ne).real
     const = float(np.einsum("mij,mji->", me, me).real)
 
@@ -156,9 +168,7 @@ def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
         diff = me - np.einsum("mn,nij->mij", lam, ne)
         return float(np.sqrt((np.abs(diff) ** 2).sum()))
 
-    lipschitz = 2.0 * float(herm_eig(Operator(gram)).eigenvalues[-1])
-    step = 1.0 / lipschitz if lipschitz > 0 else 1.0
-    rows, cols = len(m), len(n)
+    rows, cols = len(me), len(ne)
     lam = np.full((rows, cols), 1.0 / rows)
     f_lam = objective(lam)
     best, best_f = lam, f_lam

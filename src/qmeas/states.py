@@ -171,15 +171,18 @@ def spectral_pvm(a: Operator) -> Pvm:
     return Pvm(projectors, labels)
 
 
-def _expectations(rho: DensityOperator, stack: np.ndarray) -> np.ndarray:
+def _expectations(rho: DensityOperator, stack: np.ndarray, e: int = 0) -> np.ndarray:
     """Tr(rho X) for every X of a (..., d, d) stack, shaped like the stack's
-    leading axes; each imaginary residue must stay below HERMITICITY_TOL."""
+    leading axes; each imaginary residue, times 2^e for a stack scaled by
+    2^-e, must stay below HERMITICITY_TOL."""
     if rho.dim != stack.shape[-1]:
         raise DimensionMismatchError(f"state dim {rho.dim} vs operator dim {stack.shape[-1]}")
     vals = np.trace(rho.mat @ stack, axis1=-2, axis2=-1)
-    bad = np.flatnonzero(np.abs(vals.imag) >= HERMITICITY_TOL)
+    with np.errstate(over="ignore"):  # a residue beyond the float range reads as inf
+        residues = np.ldexp(vals.imag, e)
+    bad = np.flatnonzero(np.abs(residues) >= HERMITICITY_TOL)
     if bad.size:
-        raise ValidationError(f"expectation has imaginary residue {vals.imag.flat[bad[0]]:.3e}")
+        raise ValidationError(f"expectation has imaginary residue {residues.flat[bad[0]]:.3e}")
     return vals.real
 
 
@@ -191,13 +194,15 @@ def expectation(rho: DensityOperator, m: Operator) -> float:
 
 def _scaled_std_dev(rho: DensityOperator, a: Operator):
     """(s, a / 2^e, e) with std_dev(rho, a) = s * 2^e, e the binary exponent
-    of a's largest real or imaginary part: no square of a / 2^e overflows,
-    and dividing normal entries by a power of two is exact."""
-    mean = expectation(rho, a)
+    of a's largest real or imaginary part: neither <a / 2^e> nor a square of
+    a / 2^e overflows, and dividing normal entries by a power of two is exact.
+    `expectation`'s imaginary-residue check applies in a's own units."""
+    _require_hermitian(a, HERMITICITY_TOL, "expectation operand")
     parts = a.mat.view(np.float64)
     e = int(np.frexp(np.abs(parts).max())[1])
     scaled = np.ldexp(parts, -e).view(np.complex128)
-    centered = scaled - np.ldexp(mean, -e) * np.eye(a.dim)
+    mean = _expectations(rho, scaled, e)
+    centered = scaled - mean * np.eye(a.dim)
     columns = centered @ rho.eig.eigenvectors
     weights = np.maximum(rho.eig.eigenvalues, 0.0)
     variance = float((weights * (np.abs(columns) ** 2).sum(axis=0)).sum())

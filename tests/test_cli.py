@@ -380,9 +380,11 @@ def test_main_rejects_non_finite_tol(capsys, name, tol):
     assert (captured.out, captured.err) == ("", "config error: --tol: expected a finite number\n")
 
 
-def test_main_reports_recovery_non_convergence_as_solver_error(monkeypatch, capsys):
+@pytest.mark.parametrize("config", ["whichway.json", "entropy_sweep.json"])
+def test_main_reports_recovery_non_convergence_as_solver_error(monkeypatch, capsys, config):
+    # the sweep recovers through the private core: the cap must reach it too
     monkeypatch.setattr(nonideality, "MAX_SOLVER_ITERATIONS", 0)
-    assert main(["run", "--config", str(ROOT / "configs" / "whichway.json")]) == 3
+    assert main(["run", "--config", str(ROOT / "configs" / config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("solver error: recovery did not converge")

@@ -6,12 +6,14 @@ from helpers import random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeas.nonideality import martens_bound, row_entropy_measure
 from qmeas.operators import ValidationError
-from qmeas.povm import distribution, marginal, marginal_pair
-from qmeas.states import entangled_pair_state, polarization_projector
+from qmeas.povm import Povm, distribution, marginal, marginal_pair
+from qmeas.states import entangled_pair_state, polarization_projector, polarization_pvm
 from qmeas.experiments import (
     ChshResult,
     EprBellConfig,
+    SweepPoint,
     WhichWayConfig,
     chsh_pasted_aspect,
     chsh_single_setup,
@@ -112,6 +114,32 @@ def test_martens_sweep_pi_sixth():
     bound = -math.log(math.cos(np.pi / 6) ** 2)
     assert all(abs(p.bound - bound) < 1e-12 for p in points)
     assert all(p.slack >= -1e-6 for p in points)
+
+
+@pytest.mark.parametrize(
+    "theta, theta_prime, n", [(0.0, np.pi / 4, 101), (0.3, 2.1, 33), (-1.2, 0.4, 5)]
+)
+def test_martens_sweep_points_equal_the_per_point_recovery(theta, theta_prime, n):
+    # the sweep builds its targets once; every field must equal the one-point route bit for bit
+    bound = martens_bound(polarization_pvm(theta), polarization_pvm(theta_prime))
+    for p, gamma in zip(martens_sweep(theta, theta_prime, n), np.linspace(0.0, 1.0, n)):
+        lam, mu = whichway_nonideality(WhichWayConfig(theta, theta_prime, float(gamma)))
+        j_lam, j_mu = row_entropy_measure(lam), row_entropy_measure(mu)
+        assert p == SweepPoint(float(gamma), j_lam, j_mu, bound, j_lam + j_mu - bound)
+
+
+@pytest.mark.parametrize("n", [2, 17, 101])
+def test_martens_sweep_builds_its_two_targets_once(monkeypatch, n):
+    calls = []
+    from_pvm = Povm.from_pvm.__func__
+
+    def counted(cls, pvm):
+        calls.append(pvm)
+        return from_pvm(cls, pvm)
+
+    monkeypatch.setattr(Povm, "from_pvm", classmethod(counted))
+    assert len(martens_sweep(0.0, np.pi / 4, n)) == n
+    assert len(calls) == 2
 
 
 def test_martens_sweep_requires_two_points():

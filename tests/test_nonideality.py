@@ -24,6 +24,7 @@ from qmeas.povm import BivariatePovm, Povm, validate_povm
 from qmeas.states import (
     PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     expectation,
     polarization_projector,
     polarization_pvm,
@@ -298,6 +299,17 @@ def test_robertson_sides_stay_finite_where_the_true_values_are():
     # spin-half equality at 1e200: both sides read inf, the slack is still exactly 0
     rep = check_heisenberg(pure_state([1, 0]), 1e200 * PAULI_X, 1e200 * PAULI_Y)
     assert (rep.lhs, rep.rhs, rep.slack, rep.satisfied) == (math.inf, math.inf, 0.0, True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_std_dev_stays_finite_where_the_mean_leaves_the_float_range():
+    # <A> = 3.4e308 overflowed inside `expectation`, and the NaN reached both results
+    rho, a = pure_state([1, 1]), Operator(1.7e308 * np.ones((2, 2)))
+    s = std_dev(rho, a)
+    assert math.isfinite(s) and s <= 1e-12 * 1.7e308
+    rep = check_heisenberg(rho, a, PAULI_Z)
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs) and math.isfinite(rep.slack)
+    assert rep.satisfied
 
 
 def test_inequality_report_consistency():

@@ -2,7 +2,8 @@
 
 Byte pins hold the outputs at fixed inputs; these hold the physics at any
 input: swapping the which-way detectors, rotating every analyzer together,
-and conjugating state and effects by one unitary.  Each holds to 1e-12.
+conjugating state and effects by one unitary, rotating a premeasurement's
+object side and permuting its pointer outcomes.  Each holds to 1e-12.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from qmeas.nonideality import martens_bound, row_entropy_measure
 from qmeas.operators import Operator
 from qmeas.povm import BivariatePovm, Povm, QuadrivariatePovm, distribution
 from qmeas.premeasurement import PremeasurementModel, induced_povm
-from qmeas.states import DensityOperator, entangled_pair_state, polarization_pvm, spectral_pvm
+from qmeas.states import DensityOperator, Pvm, entangled_pair_state, polarization_pvm, spectral_pvm
 
 TOL = 1e-12
 
@@ -130,3 +131,42 @@ def test_induced_distribution_is_unitarily_covariant(seed, dims):
     grid = induced_povm(model)
     rebuild = lambda stack: Povm(stack, grid.outcome_labels, tol=1e-8)  # noqa: E731
     _assert_covariant(random_density(rng, dim_o), grid, rebuild, random_unitary(rng, dim_o).mat)
+
+
+premeasure_dims = st.sampled_from([(2, 2), (2, 4), (4, 4), (2, 8), (3, 5)])
+
+
+def _random_model(rng, dim_o, dim_a):
+    u = random_unitary(rng, dim_o * dim_a)
+    pointer = spectral_pvm(random_hermitian(rng, dim_a))
+    return PremeasurementModel(random_density(rng, dim_a), u, pointer, dim_o, dim_a)
+
+
+@settings(max_examples=40)
+@given(seeds, premeasure_dims)
+def test_object_rotation_of_the_coupling_rotates_the_induced_effects(seed, dims):
+    # U' = (V x I) U (V^dagger x I) induces V M_m V^dagger: the apparatus trace commutes with V
+    dim_o, dim_a = dims
+    model = _random_model(np.random.default_rng(seed), dim_o, dim_a)
+    v = random_unitary(np.random.default_rng(seed + 1), dim_o).mat
+    lift = np.kron(v, np.eye(dim_a))
+    u = Operator(lift @ model.u.mat @ lift.conj().T)
+    moved = PremeasurementModel(model.rho_a, u, model.pointer, dim_o, dim_a)
+    want = v @ induced_povm(model).grid @ v.conj().T
+    assert np.abs(induced_povm(moved).grid - want).max() <= TOL
+
+
+@settings(max_examples=40)
+@given(seeds, premeasure_dims, st.randoms(use_true_random=False))
+def test_permuting_the_pointer_outcomes_permutes_the_induced_effects(seed, dims, shuffler):
+    dim_o, dim_a = dims
+    model = _random_model(np.random.default_rng(seed), dim_o, dim_a)
+    order = list(range(len(model.pointer)))
+    shuffler.shuffle(order)
+    pointer = Pvm(
+        [model.pointer.projectors[k] for k in order], [model.pointer.labels[k] for k in order]
+    )
+    base = induced_povm(model)
+    moved = induced_povm(PremeasurementModel(model.rho_a, model.u, pointer, dim_o, dim_a))
+    assert moved.outcome_labels == tuple(base.outcome_labels[k] for k in order)
+    assert np.abs(moved.grid - base.grid[order]).max() <= TOL
