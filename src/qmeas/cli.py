@@ -33,14 +33,13 @@ from .experiments import (
     eprbell_povm,
     martens_sweep,
     quadruple_sample_check,
-    whichway_nonideality,
     whichway_povm,
 )
-from .nonideality import MARTENS_SLACK_TOL
+from .nonideality import MARTENS_SLACK_TOL, joint_nonideal_decomposition
 from .operators import DimensionMismatchError, Operator, SolverError, ValidationError
 from .povm import distribution
 from .premeasurement import MAX_JOINT_DIM, PremeasurementModel, induced_povm, pointer_consistency
-from .states import DensityOperator, Pvm, maximally_mixed, pure_state
+from .states import DensityOperator, Pvm, maximally_mixed, polarization_pvm, pure_state
 
 __all__ = ["ConfigError", "ExperimentConfig", "ResultTable", "emit", "main", "parse_config", "run"]
 
@@ -206,8 +205,10 @@ def _build_whichway(raw: dict) -> SimpleNamespace:
 
 
 def _run_whichway(p, tol) -> list:
-    probs = distribution(p.state, whichway_povm(p.config)).probabilities
-    lam, mu = whichway_nonideality(p.config)
+    grid = whichway_povm(p.config)
+    probs = distribution(p.state, grid).probabilities
+    targets = (polarization_pvm(t) for t in (p.config.theta, p.config.theta_prime))
+    lam, mu = joint_nonideal_decomposition(grid, *targets)
     row = [*probs.reshape(-1), *lam.lam.reshape(-1), *mu.lam.reshape(-1), lam.residual, mu.residual]
     return [row]
 

@@ -177,15 +177,12 @@ class HermitianEig:
         self.eigenvectors.flags.writeable = False
 
 
-def _require_hermitian(m: Operator, tol: float, what: str):
+def _require_hermitian(m: Operator, tol: float, what: str) -> np.ndarray:
+    """The checked matrix symmetrized, (m + m^H) / 2, halving each term first
+    so that entries near the float64 maximum do not overflow."""
     residual = _hermiticity_residual(m.mat)
     if residual > tol:
         raise ValidationError(f"{what} must be Hermitian (residual {residual:.3e} > {tol:.0e})")
-
-
-def _symmetrized(m: Operator) -> np.ndarray:
-    """(m + m^H) / 2, halving each term first so that entries near the
-    float64 maximum do not overflow; halving is exact for normal entries."""
     half = 0.5 * m.mat
     return half + half.conj().T
 
@@ -199,12 +196,14 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     arithmetic every rotation lowers it, so that second stop fires only at
     the rounding floor, which lies above 1e-12 once entries reach ~1e4
     (Demmel & Veselic, 1992).  Pairs whose entry is zero or subnormal are
-    skipped.  Raises EigensolverError when `_JACOBI_MAX_SWEEPS`, read at
-    call time, runs out before either stop, or when the norm is not finite.
+    skipped.  Raises DimensionMismatchError outside dimensions 2..16, before
+    any sweep, and EigensolverError when `_JACOBI_MAX_SWEEPS`, read at call
+    time, runs out before either stop, or when the norm is not finite.
     """
-    _require_hermitian(m, tol, "eigensolver input")
     n = m.dim
-    a = _symmetrized(m)  # symmetrize round-off before iterating
+    if not 2 <= n <= 16:
+        raise DimensionMismatchError(f"eigensolver input dimension {n} outside 2..16")
+    a = _require_hermitian(m, tol, "eigensolver input")  # symmetrized before iterating
     eye = np.eye(n, dtype=np.complex128)
     v = eye.copy()
     previous = math.inf

@@ -45,7 +45,7 @@ class PovmValidationError(ValidationError):
 
 
 def _check_effects(effects, tol: float):
-    """Shared POVM axioms check over a sequence of Operator effects.
+    """Shared POVM axioms check over a sequence of Operator effects; returns their read-only stack.
 
     Raises PovmValidationError naming the offending effect index and the
     numerical residual.
@@ -67,12 +67,13 @@ def _check_effects(effects, tol: float):
             raise PovmValidationError(
                 f"effect {k} is not positive semidefinite (min eigenvalue {low:.3e})"
             )
+    stack = np.array([e.mat for e in effects])
     with np.errstate(over="ignore", invalid="ignore"):  # huge effects may sum to inf
-        total = sum((e.mat for e in effects), start=np.zeros((dim, dim), dtype=np.complex128))
-        closure = _capped(np.abs(total - np.eye(dim)).max())
+        closure = _capped(np.abs(stack.sum(axis=0) - np.eye(dim)).max())
     if closure > tol:
         raise PovmValidationError(f"effects do not sum to identity (closure residual {closure:.3e})")
-    return effects
+    stack.flags.writeable = False
+    return stack
 
 
 def _row_major(cells, depth: int):
@@ -107,12 +108,10 @@ class OutcomeGrid:
             flat = [Operator(c) for c in cells.reshape(math.prod(shape), *cells.shape[depth:])]
         else:
             flat, shape = _row_major(cells, depth)
-        flat = _check_effects(flat, tol)
+        stack = _check_effects(flat, tol)
         if shape is None:
             raise PovmValidationError("grid rows must have uniform length")
-        stacked = np.array([e.mat for e in flat]).reshape(*shape, flat[0].dim, flat[0].dim)
-        stacked.flags.writeable = False
-        self.grid = stacked
+        self.grid = stack.reshape(*shape, *stack.shape[1:])
         if axis_labels is None:
             axis_labels = [("+", "-")[:n] if n <= 2 else range(n) for n in shape]
         self.axis_labels = tuple(tuple(str(x) for x in ax) for ax in axis_labels)

@@ -94,6 +94,10 @@ class PremeasurementModel:
         dim_object: int,
         dim_apparatus: int,
     ) -> "PremeasurementModel":
+        if hamiltonian.dim != dim_object * dim_apparatus:  # before any eigensolve
+            raise DimensionMismatchError(
+                f"hamiltonian dimension {hamiltonian.dim} != {dim_object} * {dim_apparatus}"
+            )
         u = exp_hermitian_generator(hamiltonian, time)
         return cls(rho_a, u, pointer, dim_object, dim_apparatus)
 

@@ -8,12 +8,15 @@ platform:
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
     u     <- (state >> 11) * 2^-53
 
-`sample_counts` produces this stream in blocks of 2^16 draws by jump-ahead
+`sample_counts` produces this stream in blocks of 2^12 draws by jump-ahead
 (F. B. Brown, "Random number generation with arbitrary strides", Trans. Am.
 Nucl. Soc. 71, 1994): k steps from state s give A_k * s + C_k mod 2^64, with
 A_k = a^k and C_k = c (a^(k-1) + ... + 1), so one block is one wrapping
-uint64 array expression.  Its counts equal those of the per-draw stream of
-`Lcg64` bit for bit, and its memory is O(block), not O(n_samples).
+uint64 array expression.  The inverse CDF compares the integers m = state >> 11
+with the thresholds ceil(c * 2^53) of the cumulative c, which is exact:
+c <= m * 2^-53 exactly when ceil(c * 2^53) <= m.  Its counts equal those of
+the per-draw stream of `Lcg64` bit for bit, and its memory is O(block), not
+O(n_samples).
 """
 
 import numpy as np
@@ -27,7 +30,7 @@ LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
-_BLOCK = 1 << 16
+_BLOCK = 1 << 12  # draws per block; small enough to stay in cache
 
 
 class Lcg64:
@@ -70,7 +73,7 @@ def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     flat = np.clip(probs.reshape(-1), 0.0, None)
-    cumulative = np.cumsum(flat)
+    thresholds = np.ceil(np.cumsum(flat) * 2.0**53).astype(np.uint64)
     top = len(flat) - 1
     mult, incr = _jump_table(min(n_samples, _BLOCK))
     counts = np.zeros(len(flat), dtype=np.intp)
@@ -79,8 +82,7 @@ def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
         size = min(_BLOCK, n_samples - start)
         states = mult[:size] * state
         states += incr[:size]
-        draws = (states >> 11).astype(np.float64) * _INV_2_53
-        indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), top)
+        indices = np.minimum(np.searchsorted(thresholds, states >> 11, side="right"), top)
         counts += np.bincount(indices, minlength=len(flat))
         state = states[-1:]
     return counts.reshape(probs.shape)

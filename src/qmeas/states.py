@@ -17,7 +17,6 @@ from .operators import (
     ValidationError,
     _capped,
     _require_hermitian,
-    _symmetrized,
     herm_eig,
     identity,
 )
@@ -59,9 +58,9 @@ class DensityOperator:
     def __init__(self, op):
         if not isinstance(op, Operator):
             op = Operator(op)
-        _require_hermitian(op, HERMITICITY_TOL, "density operator")
+        symmetrized = _require_hermitian(op, HERMITICITY_TOL, "density operator")
         try:
-            eigenvalues, eigenvectors = np.linalg.eigh(_symmetrized(op))
+            eigenvalues, eigenvectors = np.linalg.eigh(symmetrized)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"LAPACK eigh failed on a density operator: {exc}") from exc
         if eigenvalues[0] < -HERMITICITY_TOL:
@@ -127,15 +126,16 @@ class Pvm:
                 idem = _capped(np.abs(p.mat @ p.mat - p.mat).max())
             if idem > HERMITICITY_TOL:
                 raise ValidationError(f"projector {k} is not idempotent (residual {idem:.3e})")
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                cross = np.abs((projectors[i] @ projectors[j]).mat).max()
-                if cross > HERMITICITY_TOL:
-                    raise ValidationError(
-                        f"projectors {i} and {j} are not orthogonal (residual {cross:.3e})"
-                    )
-        total = sum((p.mat for p in projectors), start=np.zeros((dim, dim), dtype=np.complex128))
-        closure = np.abs(total - np.eye(dim)).max()
+        stack = np.array([p.mat for p in projectors])
+        cross = np.abs(stack[:, None] @ stack[None]).max(axis=(2, 3))
+        idx = np.arange(len(stack))
+        bad = np.flatnonzero((cross > HERMITICITY_TOL) & (idx[:, None] < idx))  # pairs i < j
+        if bad.size:  # flatnonzero is row-major: the first failing pair is named
+            i, j = divmod(int(bad[0]), len(stack))
+            raise ValidationError(
+                f"projectors {i} and {j} are not orthogonal (residual {cross[i, j]:.3e})"
+            )
+        closure = np.abs(stack.sum(axis=0) - np.eye(dim)).max()
         if closure > HERMITICITY_TOL:
             raise ValidationError(f"projectors do not sum to identity (residual {closure:.3e})")
         self.projectors = projectors
@@ -193,11 +193,11 @@ def expectation(rho: DensityOperator, m: Operator) -> float:
 
 
 def _scaled_std_dev(rho: DensityOperator, a: Operator):
-    """(s, a / 2^e, e) with std_dev(rho, a) = s * 2^e, e the binary exponent
-    of a's largest real or imaginary part: neither <a / 2^e> nor a square of
-    a / 2^e overflows, and dividing normal entries by a power of two is exact.
-    `expectation`'s imaginary-residue check applies in a's own units."""
-    _require_hermitian(a, HERMITICITY_TOL, "expectation operand")
+    """(s, a / 2^e, e) with std_dev(rho, a) = s * 2^e for an already checked
+    Hermitian a, e the binary exponent of its largest real or imaginary part:
+    neither <a / 2^e> nor a square of a / 2^e overflows, and dividing normal
+    entries by a power of two is exact.  `expectation`'s imaginary-residue
+    check applies in a's own units."""
     parts = a.mat.view(np.float64)
     e = int(np.frexp(np.abs(parts).max())[1])
     scaled = np.ldexp(parts, -e).view(np.complex128)
@@ -217,6 +217,7 @@ def std_dev(rho: DensityOperator, a: Operator) -> float:
     difference of moments loses to round-off exactly on eigenstates, where
     this must vanish.  A is first divided by a power of two, so no square overflows.
     """
+    _require_hermitian(a, HERMITICITY_TOL, "expectation operand")
     s, _, e = _scaled_std_dev(rho, a)
     with np.errstate(over="ignore"):  # a deviation beyond the float range reads inf
         return float(np.ldexp(s, e))

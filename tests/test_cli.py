@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qmeas import cli, experiments, nonideality, operators
+from qmeas import cli, experiments, nonideality, operators, premeasurement
 from qmeas.cli import (
     KINDS,
     ConfigError,
@@ -576,6 +576,29 @@ def test_premeasure_residuals_near_the_float_maximum_print_finite(
     assert run_main(tmp_path, capsys, text) == (1, "", f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_oversized_hamiltonian_is_rejected_before_any_eigensolve(
+    tmp_path, capsys, monkeypatch, command
+):
+    # A 24 x 24 Hamiltonian in a 2 x 2 config went through the Jacobi solver
+    # first (seconds at 64 x 64, growing as d^4) and was rejected only as a unitary.
+    calls = []
+    original = premeasurement.exp_hermitian_generator
+
+    def counted(h, t):
+        calls.append(h.dim)
+        return original(h, t)
+
+    monkeypatch.setattr(premeasurement, "exp_hermitian_generator", counted)
+    rng = np.random.default_rng(24)
+    g = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    config = dict(hamiltonian_premeasure(2, 2), hamiltonian=pairs(g + g.conj().T))
+    assert run_main(tmp_path, capsys, json.dumps(config), command) == (
+        1, "", "config error: unitary: hamiltonian dimension 24 != 2 * 2\n"
+    )
+    assert calls == []
+
+
 def test_subnormal_angle_prints_what_angle_zero_prints(tmp_path, capsys):
     # A subnormal angle leaves subnormal off-diagonal entries in the d = 4 cells,
     # which the eigensolver used to rotate on (RuntimeWarnings, NaN eigenvalues).
@@ -660,5 +683,22 @@ def test_epr_bell_run_builds_its_grid_once(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "eprbell_povm", counted)
     monkeypatch.setattr(cli, "eprbell_povm", counted)
     assert main(["run", "--config", str(ROOT / "configs" / "epr_bell.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 1
+
+
+def test_whichway_run_builds_its_grid_once(monkeypatch, capsys):
+    # the run used to build and validate the grid a second time inside
+    # whichway_nonideality
+    calls = []
+    original = experiments.whichway_povm
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(experiments, "whichway_povm", counted)
+    monkeypatch.setattr(cli, "whichway_povm", counted)
+    assert main(["run", "--config", str(ROOT / "configs" / "whichway.json")]) == 0
     assert capsys.readouterr().err == ""
     assert len(calls) == 1

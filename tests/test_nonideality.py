@@ -6,7 +6,7 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas import nonideality
+from qmeas import nonideality, states
 from qmeas.nonideality import (
     InequalityReport,
     NonidealityMatrix,
@@ -284,6 +284,21 @@ def test_check_heisenberg_keeps_its_bits_at_ordinary_scales():
         rep = check_heisenberg(rho, a, b)
         assert (rep.lhs, rep.rhs, rep.slack) == _plain_heisenberg(rho, a, b)
         assert std_dev(rho, a) == math.sqrt(_plain_heisenberg(rho, a, a)[0])
+
+
+def test_check_heisenberg_checks_each_observable_once(monkeypatch):
+    # each observable was checked again as "expectation operand" inside std_dev
+    rho, labels = pure_state([1, 0]), []
+    original = nonideality._require_hermitian
+
+    def counted(m, tol, what):
+        labels.append(what)
+        return original(m, tol, what)
+
+    monkeypatch.setattr(nonideality, "_require_hermitian", counted)
+    monkeypatch.setattr(states, "_require_hermitian", counted)
+    check_heisenberg(rho, PAULI_X, PAULI_Y)
+    assert labels == ["first observable", "second observable"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

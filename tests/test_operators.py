@@ -182,6 +182,13 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(Operator([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize("dim", [1, 17])
+def test_herm_eig_rejects_dimensions_outside_2_to_16(dim):
+    # a 96 x 96 input ran for seconds before any caller could reject its size
+    with pytest.raises(DimensionMismatchError, match=f"dimension {dim} outside 2..16"):
+        herm_eig(Operator(np.eye(dim)))
+
+
 def test_exp_zero_time_is_identity():
     rng = np.random.default_rng(29)
     h = random_hermitian(rng, 3)

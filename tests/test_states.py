@@ -16,6 +16,7 @@ from qmeas.states import (
     PAULI_Y,
     PAULI_Z,
     DensityOperator,
+    Pvm,
     entangled_pair_state,
     expectation,
     maximally_mixed,
@@ -187,6 +188,31 @@ def test_polarization_projector_properties_many_angles():
         e = polarization_projector(theta)
         assert np.abs((e @ e).mat - e.mat).max() < 1e-12
         assert abs(e.trace() - 1.0) < 1e-12
+
+
+_E0, _E1 = Operator(np.diag([1.0, 0.0])), Operator(np.diag([0.0, 1.0]))
+_OVERLAPPING_D4 = [Operator(np.diag(np.eye(4)[k])) for k in range(2)] + [
+    Operator(np.outer(v, v) / 2.0) for v in ([0, 1, 1, 0], [1, 0, 0, 1])
+]
+
+
+@pytest.mark.parametrize(
+    "projectors,message",
+    [
+        # pairs (0, 2) and (1, 2) overlap: the first pair in row-major order is named
+        ([_E0, _E1, polarization_projector(0.3)],
+         "projectors 0 and 2 are not orthogonal (residual 9.127e-01)"),
+        # projector 1 is checked for idempotence before any pair
+        ([_E0, 0.5 * _E1, polarization_projector(0.3)],
+         "projector 1 is not idempotent (residual 2.500e-01)"),
+        # pairs (0, 3) and (1, 2) overlap: row-major order names (0, 3) first
+        (_OVERLAPPING_D4, "projectors 0 and 3 are not orthogonal (residual 5.000e-01)"),
+    ],
+)
+def test_pvm_names_the_first_faulty_entry(projectors, message):
+    with pytest.raises(ValidationError) as exc:
+        Pvm(projectors, range(len(projectors)))
+    assert str(exc.value) == message
 
 
 def test_polarization_pvm_valid():
