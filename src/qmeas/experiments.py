@@ -25,9 +25,9 @@ from .nonideality import _recover, _target_data, joint_nonideal_decomposition
 from .nonideality import martens_bound, row_entropy_measure
 from .operators import ValidationError
 from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
-from .povm import BivariatePovm, OutcomeDistribution, Povm, QuadrivariatePovm, distribution, marginal
+from .povm import BivariatePovm, OutcomeDistribution, Povm, QuadrivariatePovm, distribution
 from .sampling import sample_counts
-from .states import DensityOperator, polarization_projector, polarization_pvm
+from .states import DensityOperator, _expectations, polarization_projector, polarization_pvm
 
 __all__ = [
     "ChshResult",
@@ -101,6 +101,15 @@ def _chsh_result(correlations) -> ChshResult:
     )
 
 
+def _whichway_cells(theta: float, theta_prime: float, gamma: float) -> np.ndarray:
+    """`whichway_povm`'s cells, unvalidated: gamma P, (1 - gamma) Q and their
+    complement in I form a POVM for projectors P, Q and gamma in [0, 1]."""
+    transmitted = polarization_projector(theta).mat * complex(gamma)
+    reflected = polarization_projector(theta_prime).mat * complex(1.0 - gamma)
+    absorbed = (np.eye(2, dtype=np.complex128) - transmitted) - reflected
+    return np.array([[np.zeros((2, 2)), transmitted], [reflected, absorbed]])
+
+
 def whichway_povm(c: WhichWayConfig) -> BivariatePovm:
     """2x2 outcome grid of the which-way measurement.
 
@@ -108,11 +117,7 @@ def whichway_povm(c: WhichWayConfig) -> BivariatePovm:
     outcome; the (+,+) cell is exactly zero and (-,-) absorbs the photons
     lost in either analyzer.
     """
-    transmitted = polarization_projector(c.theta).mat * complex(c.gamma)
-    reflected = polarization_projector(c.theta_prime).mat * complex(1.0 - c.gamma)
-    absorbed = (np.eye(2, dtype=np.complex128) - transmitted) - reflected
-    grid = np.array([[np.zeros((2, 2)), transmitted], [reflected, absorbed]])
-    return BivariatePovm(grid, ["+", "-"], ["+", "-"])
+    return BivariatePovm(_whichway_cells(c.theta, c.theta_prime, c.gamma), ["+", "-"], ["+", "-"])
 
 
 def whichway_nonideality_analytic(c: WhichWayConfig):
@@ -156,29 +161,25 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
     targets = [_target_data(Povm.from_pvm(p)) for p in pvms]
     points = []
     for gamma in np.linspace(0.0, 1.0, n_points):
-        r = whichway_povm(WhichWayConfig(theta, theta_prime, float(gamma)))
-        lam, mu = (_recover(marginal(r, ax).grid, *t) for ax, t in zip(("row", "col"), targets))
-        j_lam = row_entropy_measure(lam)
-        j_mu = row_entropy_measure(mu)
-        points.append(
-            SweepPoint(
-                gamma=float(gamma),
-                j_lambda=j_lam,
-                j_mu=j_mu,
-                bound=bound,
-                slack=j_lam + j_mu - bound,
-            )
-        )
+        cells = _whichway_cells(theta, theta_prime, float(gamma))
+        lam, mu = (_recover(cells.sum(axis=ax), *t) for ax, t in zip((1, 0), targets))
+        j_lam, j_mu = row_entropy_measure(lam), row_entropy_measure(mu)
+        points.append(SweepPoint(float(gamma), j_lam, j_mu, bound, j_lam + j_mu - bound))
     return points
 
 
-def eprbell_povm(c: EprBellConfig) -> QuadrivariatePovm:
-    """16-outcome grid of the two-arm experiment: per-cell tensor products
-    of the arms' which-way effects (arm 1 as the slow factor)."""
-    a, b = (whichway_povm(arm).grid for arm in (c.arm1, c.arm2))
+def _two_arm_cells(arm1: WhichWayConfig, arm2: WhichWayConfig) -> np.ndarray:
+    """Unvalidated (2, 2, 2, 2, 4, 4) cells of the two-arm grid: per-cell tensor
+    products of the arms' which-way cells (arm 1 as the slow factor)."""
+    a, b = (_whichway_cells(arm.theta, arm.theta_prime, arm.gamma) for arm in (arm1, arm2))
     # cell (c1, c2) holds a[c1, i, j] * b[c2, k, l] at row 2i + k, column 2j + l: np.kron's layout
     kron = a.reshape(4, 1, 2, 1, 2, 1) * b.reshape(1, 4, 1, 2, 1, 2)
-    return QuadrivariatePovm(kron.reshape(2, 2, 2, 2, 4, 4))
+    return kron.reshape(2, 2, 2, 2, 4, 4)
+
+
+def eprbell_povm(c: EprBellConfig) -> QuadrivariatePovm:
+    """16-outcome grid of the two-arm experiment, validated once as a whole."""
+    return QuadrivariatePovm(_two_arm_cells(c.arm1, c.arm2))
 
 
 def _pair_correlation(probs: np.ndarray, axis_a: int, axis_b: int) -> float:
@@ -235,11 +236,9 @@ def chsh_pasted_aspect(
     )
     correlations = []
     for gamma1, gamma2, axis_a, axis_b in corners:
-        config = EprBellConfig(
-            arm1=WhichWayConfig(theta1, theta1_prime, gamma1),
-            arm2=WhichWayConfig(theta2, theta2_prime, gamma2),
-        )
-        probs = distribution(rho, eprbell_povm(config)).probabilities
+        arm1 = WhichWayConfig(theta1, theta1_prime, gamma1)
+        arm2 = WhichWayConfig(theta2, theta2_prime, gamma2)
+        probs = _expectations(rho, _two_arm_cells(arm1, arm2))
         correlations.append(_pair_correlation(probs, axis_a, axis_b))
     return _chsh_result(correlations)
 

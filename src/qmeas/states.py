@@ -90,9 +90,20 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
+def _binary_scaled(m: np.ndarray):
+    """(m / 2^e, e) for e the binary exponent of m's largest real or imaginary
+    part (0 for an empty, zero or non-finite m): the largest part of m / 2^e
+    lies in [1/2, 1), and dividing normal entries by a power of two is exact."""
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 def pure_state(v) -> DensityOperator:
-    """Normalized projector |v><v| onto a nonzero state vector."""
-    vec = np.asarray(v, dtype=np.complex128).reshape(-1)
+    """Normalized projector |v><v| onto a nonzero state vector.  The vector is
+    divided by a power of two before its norm is taken, so its scale is
+    irrelevant: the squares inside the norm neither overflow nor underflow."""
+    vec, _ = _binary_scaled(np.asarray(v, dtype=np.complex128).reshape(-1))
     norm = float(np.linalg.norm(vec))
     if norm == 0.0 or not np.isfinite(norm):
         raise ValidationError("pure state vector must be nonzero and finite")
@@ -160,15 +171,9 @@ def spectral_pvm(a: Operator) -> Pvm:
     """
     eig = herm_eig(a)
     vals, vecs = eig.eigenvalues, eig.eigenvectors
-    projectors, labels = [], []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > EIGENVALUE_CLUSTER_TOL:
-            block = vecs[:, start:k]
-            projectors.append(Operator(block @ block.conj().T))
-            labels.append(float(vals[start:k].mean()))
-            start = k
-    return Pvm(projectors, labels)
+    cuts = np.flatnonzero(np.diff(vals) > EIGENVALUE_CLUSTER_TOL) + 1
+    blocks, clusters = np.split(vecs, cuts, axis=1), np.split(vals, cuts)
+    return Pvm([Operator(b @ b.conj().T) for b in blocks], [float(c.mean()) for c in clusters])
 
 
 def _expectations(rho: DensityOperator, stack: np.ndarray, e: int = 0) -> np.ndarray:
@@ -194,13 +199,10 @@ def expectation(rho: DensityOperator, m: Operator) -> float:
 
 def _scaled_std_dev(rho: DensityOperator, a: Operator):
     """(s, a / 2^e, e) with std_dev(rho, a) = s * 2^e for an already checked
-    Hermitian a, e the binary exponent of its largest real or imaginary part:
-    neither <a / 2^e> nor a square of a / 2^e overflows, and dividing normal
-    entries by a power of two is exact.  `expectation`'s imaginary-residue
-    check applies in a's own units."""
-    parts = a.mat.view(np.float64)
-    e = int(np.frexp(np.abs(parts).max())[1])
-    scaled = np.ldexp(parts, -e).view(np.complex128)
+    Hermitian a, scaled by `_binary_scaled`: neither <a / 2^e> nor a square of
+    a / 2^e overflows.  `expectation`'s imaginary-residue check applies in a's
+    own units."""
+    scaled, e = _binary_scaled(a.mat)
     mean = _expectations(rho, scaled, e)
     centered = scaled - mean * np.eye(a.dim)
     columns = centered @ rho.eig.eigenvectors

@@ -670,6 +670,15 @@ def test_main_survives_mutated_configs(tmp_path, capsys, config):
     assert "nan" not in err.lower()
 
 
+@pytest.mark.parametrize("k", [600, -600])
+def test_whichway_state_scale_is_irrelevant(tmp_path, capsys, k):
+    # at 2^600 the state's norm overflowed and at 2^-600 it underflowed to zero,
+    # so the run failed with "config error: state: pure state vector must be nonzero and finite"
+    unit = run_main(tmp_path, capsys, shipped("whichway", state=[[1, 0], [1, 0]]))
+    scaled = run_main(tmp_path, capsys, shipped("whichway", state=[[2.0**k, 0], [2.0**k, 0]]))
+    assert unit[0] == 0 and scaled == unit
+
+
 def test_epr_bell_run_builds_its_grid_once(monkeypatch, capsys):
     # the run used to build the grid and its distribution a second time
     # inside chsh_single_setup

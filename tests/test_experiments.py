@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from helpers import random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeas import povm
 from qmeas.nonideality import martens_bound, row_entropy_measure
 from qmeas.operators import ValidationError
 from qmeas.povm import Povm, distribution, marginal, marginal_pair
@@ -120,16 +122,39 @@ def test_martens_sweep_pi_sixth():
     "theta, theta_prime, n", [(0.0, np.pi / 4, 101), (0.3, 2.1, 33), (-1.2, 0.4, 5)]
 )
 def test_martens_sweep_points_equal_the_per_point_recovery(theta, theta_prime, n):
-    # the sweep builds its targets once; every field must equal the one-point route bit for bit
+    # the sweep builds its targets once and its cells unvalidated; every field
+    # must equal the one-point route bit for bit (float.hex tells -0.0 from 0.0)
     bound = martens_bound(polarization_pvm(theta), polarization_pvm(theta_prime))
     for p, gamma in zip(martens_sweep(theta, theta_prime, n), np.linspace(0.0, 1.0, n)):
         lam, mu = whichway_nonideality(WhichWayConfig(theta, theta_prime, float(gamma)))
         j_lam, j_mu = row_entropy_measure(lam), row_entropy_measure(mu)
-        assert p == SweepPoint(float(gamma), j_lam, j_mu, bound, j_lam + j_mu - bound)
+        expected = SweepPoint(float(gamma), j_lam, j_mu, bound, j_lam + j_mu - bound)
+        assert _hex_fields(p) == _hex_fields(expected)
+
+
+def _hex_fields(point):
+    return [float.hex(x) for x in dataclasses.astuple(point)]
+
+
+@pytest.fixture
+def validated_effect_counts(monkeypatch):
+    """Effect count of every POVM axioms check, in call order."""
+    counts = []
+    check = povm._check_effects
+
+    def counted(effects, tol):
+        effects = tuple(effects)
+        counts.append(len(effects))
+        return check(effects, tol)
+
+    monkeypatch.setattr(povm, "_check_effects", counted)
+    return counts
 
 
 @pytest.mark.parametrize("n", [2, 17, 101])
-def test_martens_sweep_builds_its_two_targets_once(monkeypatch, n):
+def test_martens_sweep_builds_its_two_targets_once(monkeypatch, validated_effect_counts, n):
+    # and validates nothing else: each point's which-way grid and both of its
+    # marginals used to be validated too, 2 + 3n checks in all
     calls = []
     from_pvm = Povm.from_pvm.__func__
 
@@ -140,6 +165,7 @@ def test_martens_sweep_builds_its_two_targets_once(monkeypatch, n):
     monkeypatch.setattr(Povm, "from_pvm", classmethod(counted))
     assert len(martens_sweep(0.0, np.pi / 4, n)) == n
     assert len(calls) == 2
+    assert validated_effect_counts == [2, 2]
 
 
 def test_martens_sweep_requires_two_points():
@@ -260,6 +286,40 @@ def _correlation(probs, axis_a, axis_b):
     sa = signs.reshape([2 if k == axis_a else 1 for k in range(4)])
     sb = signs.reshape([2 if k == axis_b else 1 for k in range(4)])
     return float((probs * sa * sb).sum())
+
+
+def test_eprbell_povm_validates_only_the_grid_it_returns(validated_effect_counts):
+    # each arm's which-way grid used to be validated first: 3 checks
+    eprbell_povm(_config(0.3, 0.8))
+    assert validated_effect_counts == [16]
+
+
+def test_pasted_aspect_validates_no_intermediate_grid(validated_effect_counts):
+    # each corner used to build and validate three grids: 12 checks
+    chsh_pasted_aspect(entangled_pair_state(), *OPTIMAL_ANGLES)
+    assert validated_effect_counts == []
+
+
+def _pasted_reference(rho, angles):
+    """The pasted CHSH through the validated public route, corner by corner."""
+    corners = ((1.0, 1.0, 0, 2), (1.0, 0.0, 0, 3), (0.0, 1.0, 1, 2), (0.0, 0.0, 1, 3))
+    correlations = []
+    for g1, g2, axis_a, axis_b in corners:
+        probs = distribution(rho, eprbell_povm(_config(g1, g2, angles))).probabilities
+        correlations.append(_correlation(probs, axis_a, axis_b))
+    e_ab, e_abp, e_apb, e_apbp = correlations
+    return correlations, e_ab - e_abp + e_apb + e_apbp
+
+
+def test_pasted_aspect_equals_the_validated_per_corner_route():
+    rng = np.random.default_rng(14)
+    cases = [(entangled_pair_state(), OPTIMAL_ANGLES)]
+    cases += [(random_density(rng, 4), tuple(rng.uniform(-np.pi, np.pi, 4))) for _ in range(20)]
+    for rho, angles in cases:
+        result = chsh_pasted_aspect(rho, *angles)
+        correlations, s = _pasted_reference(rho, angles)
+        assert [float.hex(e) for e in result.correlations] == [float.hex(e) for e in correlations]
+        assert float.hex(result.s_value) == float.hex(s)
 
 
 def test_pasted_aspect_maximal_violation():

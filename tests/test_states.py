@@ -38,8 +38,22 @@ def test_pure_state_examples():
 
 
 def test_pure_state_rejects_zero_vector():
-    with pytest.raises(ValidationError):
-        pure_state([0.0, 0.0])
+    # and an empty or non-finite one, with the same message
+    for v in ([0.0, 0.0], [], [np.inf, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValidationError, match=r"^pure state vector must be nonzero and finite$"):
+            pure_state(v)
+
+
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000, -520])
+def test_pure_state_ignores_the_scale_of_its_vector(k):
+    # the norm's squares used to overflow (k > 0) or underflow (k < 0), which
+    # rejected a valid vector or, at k = -520, changed the last bits of its projector
+    rng = np.random.default_rng(k % 97)
+    for d in (2, 3, 4, 8):
+        for _ in range(25):
+            parts = rng.uniform(0.5, 2.0, (2, d)) * rng.choice([-1, 1], (2, d))
+            v = parts[0] + 1j * parts[1]  # normal entries at every scale tried
+            assert pure_state(v * 2.0**k).mat.tobytes() == pure_state(v).mat.tobytes()
 
 
 def test_density_operator_validation():
