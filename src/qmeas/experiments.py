@@ -25,7 +25,7 @@ from .nonideality import _recover, _target_data, joint_nonideal_decomposition
 from .nonideality import martens_bound, row_entropy_measure
 from .operators import ValidationError
 from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
-from .povm import BivariatePovm, OutcomeDistribution, Povm, QuadrivariatePovm, distribution
+from .povm import BivariatePovm, OutcomeDistribution, QuadrivariatePovm, distribution
 from .sampling import sample_counts
 from .states import DensityOperator, _expectations, polarization_projector, polarization_pvm
 
@@ -48,6 +48,9 @@ __all__ = [
 CHSH_BOUND_TOL = 1e-9
 
 _PM_SIGNS = np.array([1.0, -1.0])  # outcome "+" -> +1, "-" -> -1
+
+# Two-arm axes (m1, n1, m2, n2) of the CHSH pairs E(m1,m2), E(m1,n2), E(n1,m2), E(n1,n2)
+_CHSH_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
         raise ValidationError(f"n_points must be >= 2, got {n_points}")
     pvms = polarization_pvm(theta), polarization_pvm(theta_prime)
     bound = martens_bound(*pvms)
-    targets = [_target_data(Povm.from_pvm(p)) for p in pvms]
+    targets = [_target_data(p.stack) for p in pvms]
     points = []
     for gamma in np.linspace(0.0, 1.0, n_points):
         cells = _whichway_cells(theta, theta_prime, float(gamma))
@@ -202,14 +205,7 @@ def chsh_single_setup(rho: DensityOperator, c: EprBellConfig) -> ChshResult:
 
 def _single_setup_result(probs: np.ndarray) -> ChshResult:
     """CHSH result of one two-arm distribution, shaped (m1, n1, m2, n2)."""
-    return _chsh_result(
-        (
-            _pair_correlation(probs, 0, 2),  # E(m1, m2)
-            _pair_correlation(probs, 0, 3),  # E(m1, n2)
-            _pair_correlation(probs, 1, 2),  # E(n1, m2)
-            _pair_correlation(probs, 1, 3),  # E(n1, n2)
-        )
-    )
+    return _chsh_result(_pair_correlation(probs, a, b) for a, b in _CHSH_AXES)
 
 
 def chsh_pasted_aspect(
@@ -228,14 +224,9 @@ def chsh_pasted_aspect(
     non-detection valued -1.  The four corners measure the four angle
     combinations, and the pasted S can reach 2 sqrt(2).
     """
-    corners = (
-        (1.0, 1.0, 0, 2),  # E(theta1, theta2)
-        (1.0, 0.0, 0, 3),  # E(theta1, theta2')
-        (0.0, 1.0, 1, 2),  # E(theta1', theta2)
-        (0.0, 0.0, 1, 3),  # E(theta1', theta2')
-    )
+    gammas = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))  # corner k reads _CHSH_AXES[k]
     correlations = []
-    for gamma1, gamma2, axis_a, axis_b in corners:
+    for (gamma1, gamma2), (axis_a, axis_b) in zip(gammas, _CHSH_AXES):
         arm1 = WhichWayConfig(theta1, theta1_prime, gamma1)
         arm2 = WhichWayConfig(theta2, theta2_prime, gamma2)
         probs = _expectations(rho, _two_arm_cells(arm1, arm2))

@@ -79,8 +79,8 @@ class NonidealityMatrix:
 
     def __post_init__(self):
         arr = np.array(self.lam, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"nonideality matrix must be 2-d, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValidationError(f"nonideality matrix must be nonempty 2-d, got shape {arr.shape}")
         if not (np.all(np.isfinite(arr)) and math.isfinite(self.residual)):
             raise ValidationError("nonideality entries and residual must be finite (no NaN/Inf)")
         low = arr.min()
@@ -141,13 +141,12 @@ def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
     """
     if m.dim != n.dim:
         raise DimensionMismatchError(f"POVM dimensions differ: {m.dim} vs {n.dim}")
-    return _recover(m.grid, *_target_data(n))
+    return _recover(m.grid, *_target_data(n.grid))
 
 
-def _target_data(n: Povm) -> tuple:
-    """(effects, Gram matrix, step 1/L) of a recovery target; L, twice the Gram
-    matrix's largest eigenvalue, is the Lipschitz constant of the gradient."""
-    ne = n.grid
+def _target_data(ne: np.ndarray) -> tuple:
+    """(effects, Gram matrix, step 1/L) of a recovery target's effect stack; L,
+    twice the Gram matrix's largest eigenvalue, is the Lipschitz constant of the gradient."""
     # Frobenius inner products; all real since effects are Hermitian.
     gram = np.einsum("aij,bji->ab", ne, ne).real
     lipschitz = 2.0 * float(herm_eig(Operator(gram)).eigenvalues[-1])
@@ -204,9 +203,7 @@ def row_entropy_measure(lam) -> float:
     of rows; zero entries and zero rows contribute nothing (entropy limit
     0 ln 0 = 0).
     """
-    arr = lam.lam if isinstance(lam, NonidealityMatrix) else np.asarray(lam, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("nonideality entries must be finite (no NaN/Inf)")
+    arr = (lam if isinstance(lam, NonidealityMatrix) else NonidealityMatrix(lam, 0.0)).lam
     rowsums = arr.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = arr / rowsums[:, None]
@@ -228,10 +225,7 @@ def martens_bound(e: Pvm, f: Pvm) -> float:
     for any joint nonideal measurement of the PVMs e and f."""
     if e.dim != f.dim:
         raise DimensionMismatchError(f"PVM dimensions differ: {e.dim} vs {f.dim}")
-    overlaps = [
-        float(np.trace(p.mat @ q.mat).real) for p in e.projectors for q in f.projectors
-    ]
-    mx = max(overlaps)
+    mx = float(np.trace(e.stack[:, None] @ f.stack[None], axis1=-2, axis2=-1).real.max())
     if mx <= 0.0:
         raise ValidationError("maximal projector overlap is zero; bound undefined")
     return -math.log(mx)

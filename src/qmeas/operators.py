@@ -249,6 +249,9 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
 def exp_hermitian_generator(h: Operator, t: float) -> Operator:
     """Unitary exp(-i h t) from the spectral decomposition of Hermitian h."""
     eig = herm_eig(h)
-    phases = np.exp(-1j * eig.eigenvalues * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # eigenvalue * t may pass the float maximum
+        phases = np.exp(-1j * eig.eigenvalues * t)
+    if not np.all(np.isfinite(phases)):
+        raise ValidationError("eigenvalue * time leaves the float range")
     vecs = eig.eigenvectors
     return Operator((vecs * phases) @ vecs.conj().T)

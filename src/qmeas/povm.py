@@ -154,7 +154,7 @@ class Povm(OutcomeGrid):
 
     @classmethod
     def from_pvm(cls, pvm: Pvm) -> "Povm":
-        return cls(pvm.projectors, [f"{lab:g}" for lab in pvm.labels])
+        return cls(pvm.stack, [f"{lab:g}" for lab in pvm.labels])
 
     @property
     def effects(self) -> tuple:

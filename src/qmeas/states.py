@@ -117,9 +117,10 @@ def maximally_mixed(dim: int) -> DensityOperator:
 
 class Pvm:
     """Projection-valued measure: orthogonal idempotent projectors summing to
-    identity, each carrying a real eigenvalue label."""
+    identity, each carrying a real eigenvalue label.  The checked `Operator`s
+    (dimension 2..16) are kept as the read-only (k, d, d) `stack`."""
 
-    __slots__ = ("projectors", "labels")
+    __slots__ = ("stack", "labels")
 
     def __init__(self, projectors, labels):
         projectors = tuple(projectors)
@@ -128,7 +129,12 @@ class Pvm:
             raise ValidationError("PVM needs at least one projector")
         if len(labels) != len(projectors):
             raise ValidationError("labels and projectors must have matching length")
+        for k, p in enumerate(projectors):
+            if not isinstance(p, Operator):
+                raise ValidationError(f"projector {k} is not an Operator")
         dim = projectors[0].dim
+        if not 2 <= dim <= 16:  # before any product, as in `herm_eig`
+            raise DimensionMismatchError(f"PVM dimension {dim} outside 2..16")
         for k, p in enumerate(projectors):
             if p.dim != dim:
                 raise DimensionMismatchError(f"projector {k} has dimension {p.dim}, expected {dim}")
@@ -138,26 +144,31 @@ class Pvm:
             if idem > HERMITICITY_TOL:
                 raise ValidationError(f"projector {k} is not idempotent (residual {idem:.3e})")
         stack = np.array([p.mat for p in projectors])
-        cross = np.abs(stack[:, None] @ stack[None]).max(axis=(2, 3))
-        idx = np.arange(len(stack))
-        bad = np.flatnonzero((cross > HERMITICITY_TOL) & (idx[:, None] < idx))  # pairs i < j
-        if bad.size:  # flatnonzero is row-major: the first failing pair is named
-            i, j = divmod(int(bad[0]), len(stack))
-            raise ValidationError(
-                f"projectors {i} and {j} are not orthogonal (residual {cross[i, j]:.3e})"
-            )
+        for i in range(len(stack) - 1):  # row i of pairs (i, j > i): O(k d^2) memory
+            cross = np.abs(stack[i] @ stack[i + 1 :]).max(axis=(1, 2))
+            bad = np.flatnonzero(cross > HERMITICITY_TOL)
+            if bad.size:
+                j = int(bad[0])
+                raise ValidationError(
+                    f"projectors {i} and {i + 1 + j} are not orthogonal (residual {cross[j]:.3e})"
+                )
         closure = np.abs(stack.sum(axis=0) - np.eye(dim)).max()
         if closure > HERMITICITY_TOL:
             raise ValidationError(f"projectors do not sum to identity (residual {closure:.3e})")
-        self.projectors = projectors
+        stack.flags.writeable = False
+        self.stack = stack
         self.labels = labels
 
     @property
+    def projectors(self) -> tuple:
+        return tuple(Operator(p) for p in self.stack)
+
+    @property
     def dim(self) -> int:
-        return self.projectors[0].dim
+        return self.stack.shape[-1]
 
     def __len__(self):
-        return len(self.projectors)
+        return len(self.stack)
 
     def __repr__(self):
         return f"Pvm(dim={self.dim}, outcomes={len(self)})"

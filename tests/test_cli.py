@@ -599,6 +599,24 @@ def test_oversized_hamiltonian_is_rejected_before_any_eigensolve(
     assert calls == []
 
 
+def test_pointer_outside_dimensions_2_to_16_is_named(tmp_path, capsys):
+    # a 20 x 20 pointer in a 2 x 2 config was multiplied out pairwise first, and
+    # then rejected only as "unitary: pointer PVM dimension 20 != 2"
+    config = dict(identity_premeasure(2, 2), pointer=[pairs(np.eye(20))])
+    assert run_main(tmp_path, capsys, json.dumps(config)) == (
+        1, "", "config error: pointer: PVM dimension 20 outside 2..16\n"
+    )
+
+
+def test_hamiltonian_phase_beyond_the_float_range_is_named(tmp_path, capsys):
+    # every entry is finite, yet H t overflows: this printed two RuntimeWarnings
+    # and then "unitary: operator entries must be finite (no NaN/Inf)"
+    config = dict(hamiltonian_premeasure(2, 2, 1e10), time=1e300)
+    assert run_main(tmp_path, capsys, json.dumps(config)) == (
+        1, "", "config error: unitary: eigenvalue * time leaves the float range\n"
+    )
+
+
 def test_subnormal_angle_prints_what_angle_zero_prints(tmp_path, capsys):
     # A subnormal angle leaves subnormal off-diagonal entries in the d = 4 cells,
     # which the eigensolver used to rotate on (RuntimeWarnings, NaN eigenvalues).

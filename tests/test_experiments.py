@@ -153,8 +153,9 @@ def validated_effect_counts(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 17, 101])
 def test_martens_sweep_builds_its_two_targets_once(monkeypatch, validated_effect_counts, n):
-    # and validates nothing else: each point's which-way grid and both of its
-    # marginals used to be validated too, 2 + 3n checks in all
+    # the targets are read from the PVMs' checked stacks and validate no grid;
+    # the target grids and each point's which-way grid and both of its marginals
+    # used to be validated too, 2 + 3n checks in all
     calls = []
     from_pvm = Povm.from_pvm.__func__
 
@@ -164,8 +165,8 @@ def test_martens_sweep_builds_its_two_targets_once(monkeypatch, validated_effect
 
     monkeypatch.setattr(Povm, "from_pvm", classmethod(counted))
     assert len(martens_sweep(0.0, np.pi / 4, n)) == n
-    assert len(calls) == 2
-    assert validated_effect_counts == [2, 2]
+    assert calls == []
+    assert validated_effect_counts == []
 
 
 def test_martens_sweep_requires_two_points():

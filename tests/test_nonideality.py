@@ -106,12 +106,42 @@ def test_nonideality_matrix_validation():
         NonidealityMatrix(lam=np.array([[0.5, 0.0], [0.4, 1.0]]), residual=0.0)  # column sum
     with pytest.raises(ValidationError):
         NonidealityMatrix(lam=np.array([[1.1, 0.0], [-0.1, 1.0]]), residual=0.0)  # negative
+    with pytest.raises(ValidationError, match="nonempty"):  # was numpy's zero-size reduction error
+        NonidealityMatrix(lam=np.zeros((0, 0)), residual=0.0)
     for lam, residual in ([[np.nan], [0.5]], 0.0), ([[np.inf], [0.5]], 0.0), ([[1.0]], np.nan):
         with pytest.raises(ValidationError, match="finite"):
             NonidealityMatrix(lam=lam, residual=residual)
     for bad in (np.nan, np.inf):  # the raw-matrix path used to read these as ideal (J = 0)
         with pytest.raises(ValidationError, match="finite"):
             row_entropy_measure([[bad, 0.5], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "lam,message",
+    [
+        ([0.5, 0.5], "must be nonempty 2-d, got shape \\(2,\\)"),  # was numpy's AxisError
+        (np.zeros((0, 2)), "must be nonempty 2-d, got shape \\(0, 2\\)"),  # was ZeroDivisionError
+        (np.zeros((2, 0)), "must be nonempty 2-d, got shape \\(2, 0\\)"),  # was J = 0.0
+        ([[1.5, 0.0], [-0.5, 1.0]], "entry -5.000e-01 below"),  # was J = 0.0
+    ],
+    ids=["1-d", "no-rows", "no-columns", "negative-entry"],
+)
+def test_row_entropy_measure_validates_a_raw_matrix(lam, message):
+    with pytest.raises(ValidationError, match=message):
+        row_entropy_measure(lam)
+
+
+def test_martens_bound_equals_the_pairwise_trace_loop():
+    rng = np.random.default_rng(16)
+    pairs = [(polarization_pvm(a), polarization_pvm(b)) for a, b in rng.uniform(-7, 7, (50, 2))]
+    for dim in range(2, 17):
+        for _ in range(4):
+            pairs.append(tuple(spectral_pvm(random_hermitian(rng, dim)) for _ in range(2)))
+        degenerate = Operator(np.diag(rng.integers(0, 3, dim).astype(float)))
+        pairs.append((spectral_pvm(degenerate), spectral_pvm(random_hermitian(rng, dim))))
+    for e, f in pairs:
+        overlaps = [float(np.trace(p.mat @ q.mat).real) for p in e.projectors for q in f.projectors]
+        assert float.hex(martens_bound(e, f)) == float.hex(-math.log(max(overlaps)))
 
 
 def test_recovery_that_does_not_converge_raises_with_its_best_iterate(monkeypatch):

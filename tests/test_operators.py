@@ -189,6 +189,13 @@ def test_herm_eig_rejects_dimensions_outside_2_to_16(dim):
         herm_eig(Operator(np.eye(dim)))
 
 
+def test_exp_names_a_phase_beyond_the_float_range():
+    # eigenvalue * time overflowed with two RuntimeWarnings, and the NaN unitary
+    # was then rejected as "operator entries must be finite", though every input was
+    with pytest.raises(ValidationError, match=r"^eigenvalue \* time leaves the float range$"):
+        exp_hermitian_generator(Operator(np.diag([1e10, -1e10])), 1e300)
+
+
 def test_exp_zero_time_is_identity():
     rng = np.random.default_rng(29)
     h = random_hermitian(rng, 3)

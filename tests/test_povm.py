@@ -296,7 +296,7 @@ def _quad_cells():
 def test_grids_reject_ragged_cells():
     # the flat cells form a valid POVM; only the nesting is ragged
     e, zero = polarization_projector(0.3), Operator(np.zeros((2, 2)))
-    with pytest.raises(PovmValidationError, match="uniform"):
+    with pytest.raises(PovmValidationError, match="^grid rows must have uniform length$"):
         BivariatePovm([[e, zero, zero], [identity(2) - e]], ["+", "-"], ["+", "-"])
     cells = _quad_cells()
     cells[1][1][1] = cells[1][1][1] + [Operator(np.zeros((4, 4)))]

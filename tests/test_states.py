@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import partial_trace_first, random_density, random_hermitian
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from qmeas import states
 from qmeas.experiments import EprBellConfig, WhichWayConfig, chsh_single_setup
 from qmeas.operators import (
+    DimensionMismatchError,
     Operator,
     ValidationError,
     partial_trace_second,
@@ -227,6 +230,41 @@ def test_pvm_names_the_first_faulty_entry(projectors, message):
     with pytest.raises(ValidationError) as exc:
         Pvm(projectors, range(len(projectors)))
     assert str(exc.value) == message
+
+
+def test_pvm_keeps_the_read_only_stack_it_checked():
+    for pvm in (polarization_pvm(0.7), spectral_pvm(Operator(np.diag([1.0, 1.0, 2.0, 3.0])))):
+        assert not pvm.stack.flags.writeable
+        assert pvm.stack.shape == (len(pvm), pvm.dim, pvm.dim)
+        assert np.array_equal(pvm.stack, [p.mat for p in pvm.projectors])
+        with pytest.raises(ValueError):
+            pvm.stack[0, 0, 0] = 0.0
+
+
+def test_pvm_memory_does_not_grow_with_the_square_of_the_projector_count():
+    # orthogonality used to be one (k, k, d, d) product: 64 MB at k = 1,000, d = 2
+    projectors = [Operator(np.eye(2))] + [Operator(np.zeros((2, 2)))] * 999
+    tracemalloc.start()
+    try:
+        Pvm(projectors, range(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("dim", [1, 17])
+def test_pvm_rejects_dimensions_outside_2_to_16_before_any_product(dim):
+    # 2 I is not idempotent: the dimension is named before P @ P is formed
+    with pytest.raises(DimensionMismatchError, match=f"^PVM dimension {dim} outside 2..16$"):
+        Pvm([2.0 * Operator(np.eye(dim))], [0])
+
+
+def test_pvm_rejects_a_projector_that_is_not_an_operator():
+    # this raised AttributeError: 'numpy.ndarray' object has no attribute 'dim'
+    for projectors, k in (([np.eye(2)], 0), ([_E0, np.diag([0.0, 1.0])], 1)):
+        with pytest.raises(ValidationError, match=f"^projector {k} is not an Operator$"):
+            Pvm(projectors, range(len(projectors)))
 
 
 def test_polarization_pvm_valid():
