@@ -141,6 +141,14 @@ def _matrix(value, path: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _sized_matrix(raw: dict, key: str, dim: int, dim_key: str) -> np.ndarray:
+    """The matrix field `key`, which must be dim x dim."""
+    m = _matrix(raw[key], key)
+    if len(m) != dim:
+        _fail(key, f"dimension {len(m)} != {dim_key} {dim}")
+    return m
+
+
 @contextmanager
 def _operator_errors(path: str):
     """Report an operator the domain layer rejects as a config error at `path`."""
@@ -271,11 +279,16 @@ def _build_premeasure(raw: dict) -> SimpleNamespace:
     projectors = raw.get("pointer")
     if not isinstance(projectors, list) or not projectors:
         _fail("pointer", "required nonempty list of projector matrices")
-    with _operator_errors("rho_apparatus"):
-        rho_a = DensityOperator(Operator(_matrix(raw["rho_apparatus"], "rho_apparatus")))
+    # each size is compared with its declared dimension before any eigensolve
+    rho_a = _sized_matrix(raw, "rho_apparatus", dim_a, "dim_apparatus")
+    rho_o = _sized_matrix(raw, "rho_object", dim_o, "dim_object") if "rho_object" in raw else None
     with _operator_errors("pointer"):
         projectors = [Operator(_matrix(p, f"pointer[{k}]")) for k, p in enumerate(projectors)]
         pointer = Pvm(projectors, labels=range(len(projectors)))
+    if pointer.dim != dim_a:
+        _fail("pointer", f"dimension {pointer.dim} != dim_apparatus {dim_a}")
+    with _operator_errors("rho_apparatus"):
+        rho_a = DensityOperator(Operator(rho_a))
     with _operator_errors("unitary"):
         if "unitary" in raw:
             unitary = Operator(_matrix(raw["unitary"], "unitary"))
@@ -287,13 +300,10 @@ def _build_premeasure(raw: dict) -> SimpleNamespace:
             model = PremeasurementModel.from_generator(
                 hamiltonian, _number(raw, "time"), rho_a, pointer, dim_o, dim_a
             )
-    if "rho_object" not in raw:
+    if rho_o is None:
         return SimpleNamespace(model=model, rho_object=maximally_mixed(dim_o))
     with _operator_errors("rho_object"):
-        rho_o = DensityOperator(Operator(_matrix(raw["rho_object"], "rho_object")))
-    if rho_o.dim != dim_o:
-        _fail("rho_object", f"dimension {rho_o.dim} != dim_object {dim_o}")
-    return SimpleNamespace(model=model, rho_object=rho_o)
+        return SimpleNamespace(model=model, rho_object=DensityOperator(Operator(rho_o)))
 
 
 def _run_premeasure(p, tol) -> list:

@@ -55,8 +55,9 @@ MARTENS_SLACK_TOL = 1e-6
 class RecoveryError(SolverError):
     """Solver did not converge within the iteration cap.
 
-    Carries the best iterate seen and its residual so callers can inspect
-    how close the failed recovery got.
+    Carries the last iterate, the best (each exact 1/L step lowers the
+    objective), and its residual so callers can inspect how close the
+    failed recovery got.
     """
 
     def __init__(self, message: str, best: np.ndarray, residual: float):
@@ -134,9 +135,10 @@ def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
     """Best column-stochastic lam with M_k ~ sum_j lam[k,j] N_j, least squares.
 
     Projected gradient descent on the product of per-column probability
-    simplices; the objective is a small convex quadratic, so a step of
-    1/L with backtracking converges fast at these sizes.  A residual near
-    zero (< 1e-7) certifies that m really is a nonideal version of n.
+    simplices; the objective is a small convex quadratic whose gradient is
+    L-Lipschitz, so the fixed step 1/L never raises it (descent lemma) and
+    needs no line search.  A residual near zero (< 1e-7) certifies that m
+    really is a nonideal version of n.
     The private core `_recover` raises RecoveryError after MAX_SOLVER_ITERATIONS, read at call time.
     """
     if m.dim != n.dim:
@@ -149,17 +151,13 @@ def _target_data(ne: np.ndarray) -> tuple:
     twice the Gram matrix's largest eigenvalue, is the Lipschitz constant of the gradient."""
     # Frobenius inner products; all real since effects are Hermitian.
     gram = np.einsum("aij,bji->ab", ne, ne).real
-    lipschitz = 2.0 * float(herm_eig(Operator(gram)).eigenvalues[-1])
-    return ne, gram, 1.0 / lipschitz if lipschitz > 0 else 1.0
+    # L > 0: a validated target's Gram trace is sum_n ||N_n||^2 >= d / k.
+    return ne, gram, 1.0 / (2.0 * float(herm_eig(Operator(gram)).eigenvalues[-1]))
 
 
 def _recover(me: np.ndarray, ne: np.ndarray, gram: np.ndarray, step: float) -> NonidealityMatrix:
     """`recover_nonideality` on the effect stack of m and the target data of n."""
     cross = np.einsum("mij,nji->mn", me, ne).real
-    const = float(np.einsum("mij,mji->", me, me).real)
-
-    def objective(lam):
-        return const - 2.0 * float((lam * cross).sum()) + float(((lam @ gram) * lam).sum())
 
     def direct_residual(lam):
         # The expanded quadratic cancels catastrophically near zero; the
@@ -167,32 +165,21 @@ def _recover(me: np.ndarray, ne: np.ndarray, gram: np.ndarray, step: float) -> N
         diff = me - np.einsum("mn,nij->mij", lam, ne)
         return float(np.sqrt((np.abs(diff) ** 2).sum()))
 
-    rows, cols = len(me), len(ne)
-    lam = np.full((rows, cols), 1.0 / rows)
-    f_lam = objective(lam)
-    best, best_f = lam, f_lam
+    lam = np.full((len(me), len(ne)), 1.0 / len(me))
     for _ in range(MAX_SOLVER_ITERATIONS):
         grad = 2.0 * (lam @ gram - cross)
-        while True:
-            cand = _project_columns(lam - step * grad)
-            delta = cand - lam
-            quad = f_lam + float((grad * delta).sum()) + float((delta * delta).sum()) / (2.0 * step)
-            f_cand = objective(cand)
-            if f_cand <= quad + 1e-15:
-                break
-            step *= 0.5
+        cand = _project_columns(lam - step * grad)
+        delta = cand - lam
         gap = float(np.sqrt((delta * delta).sum())) / step
-        lam, f_lam = cand, f_cand
-        if f_lam < best_f:
-            best, best_f = lam, f_lam
+        lam = cand
         if gap < GRADIENT_MAP_TOL:
             return NonidealityMatrix(lam=lam, residual=direct_residual(lam))
-    best_residual = direct_residual(best)
+    residual = direct_residual(lam)
     raise RecoveryError(
         f"recovery did not converge within {MAX_SOLVER_ITERATIONS} iterations "
-        f"(best residual {best_residual:.3e})",
-        best=best,
-        residual=best_residual,
+        f"(best residual {residual:.3e})",
+        best=lam,
+        residual=residual,
     )
 
 
@@ -225,10 +212,9 @@ def martens_bound(e: Pvm, f: Pvm) -> float:
     for any joint nonideal measurement of the PVMs e and f."""
     if e.dim != f.dim:
         raise DimensionMismatchError(f"PVM dimensions differ: {e.dim} vs {f.dim}")
-    mx = float(np.trace(e.stack[:, None] @ f.stack[None], axis1=-2, axis2=-1).real.max())
-    if mx <= 0.0:
-        raise ValidationError("maximal projector overlap is zero; bound undefined")
-    return -math.log(mx)
+    # the k_e * k_f overlaps sum to d, so their maximum is at least d / (k_e * k_f) > 0
+    overlaps = np.trace(e.stack[:, None] @ f.stack[None], axis1=-2, axis2=-1).real
+    return -math.log(float(overlaps.max()))
 
 
 def check_martens(r: BivariatePovm, e: Pvm, f: Pvm) -> InequalityReport:

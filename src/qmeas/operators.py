@@ -231,7 +231,8 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
                 if r < _JACOBI_SKIP_BELOW:
                     continue
                 phase = a[p, q] / r
-                t = 0.5 * math.atan2(2.0 * r, a[p, p].real - a[q, q].real)
+                # both arguments halved: the same angle, and no overflow near the float maximum
+                t = 0.5 * math.atan2(r, 0.5 * a[p, p].real - 0.5 * a[q, q].real)
                 c, s = math.cos(t), math.sin(t)
                 g = eye.copy()
                 g[p, p] = c

@@ -118,7 +118,8 @@ def maximally_mixed(dim: int) -> DensityOperator:
 class Pvm:
     """Projection-valued measure: orthogonal idempotent projectors summing to
     identity, each carrying a real eigenvalue label.  The checked `Operator`s
-    (dimension 2..16) are kept as the read-only (k, d, d) `stack`."""
+    (dimension d in 2..16, at most d of them) are kept as the read-only
+    (k, d, d) `stack`."""
 
     __slots__ = ("stack", "labels")
 
@@ -143,15 +144,18 @@ class Pvm:
                 idem = _capped(np.abs(p.mat @ p.mat - p.mat).max())
             if idem > HERMITICITY_TOL:
                 raise ValidationError(f"projector {k} is not idempotent (residual {idem:.3e})")
+        if len(projectors) > dim:  # so the pair products below hold k^2 d^2 <= 16^4 entries
+            raise ValidationError(
+                f"PVM has {len(projectors)} projectors, more than its dimension {dim}"
+            )
         stack = np.array([p.mat for p in projectors])
-        for i in range(len(stack) - 1):  # row i of pairs (i, j > i): O(k d^2) memory
-            cross = np.abs(stack[i] @ stack[i + 1 :]).max(axis=(1, 2))
-            bad = np.flatnonzero(cross > HERMITICITY_TOL)
-            if bad.size:
-                j = int(bad[0])
-                raise ValidationError(
-                    f"projectors {i} and {i + 1 + j} are not orthogonal (residual {cross[j]:.3e})"
-                )
+        cross = np.abs(stack[:, None] @ stack[None]).max(axis=(2, 3))
+        bad = np.argwhere(np.triu(cross > HERMITICITY_TOL, 1))  # pairs i < j in row-major order
+        if bad.size:
+            i, j = bad[0]
+            raise ValidationError(
+                f"projectors {i} and {j} are not orthogonal (residual {cross[i, j]:.3e})"
+            )
         closure = np.abs(stack.sum(axis=0) - np.eye(dim)).max()
         if closure > HERMITICITY_TOL:
             raise ValidationError(f"projectors do not sum to identity (residual {closure:.3e})")

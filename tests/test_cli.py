@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qmeas import cli, experiments, nonideality, operators, premeasurement
+from qmeas.operators import ValidationError
 from qmeas.cli import (
     KINDS,
     ConfigError,
@@ -231,6 +232,8 @@ def test_cli_subprocess_determinism(tmp_path):
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+    # pytest's error::RuntimeWarning filter does not reach a child process
+    assert first.stderr == second.stderr == b""
 
 
 def test_main_validate_subcommand(tmp_path, capsys):
@@ -729,3 +732,83 @@ def test_whichway_run_builds_its_grid_once(monkeypatch, capsys):
     assert main(["run", "--config", str(ROOT / "configs" / "whichway.json")]) == 0
     assert capsys.readouterr().err == ""
     assert len(calls) == 1
+
+
+def test_main_rejects_an_empty_state(tmp_path, capsys):
+    assert run_main(tmp_path, capsys, shipped("whichway", state=[])) == (
+        1, "", "config error: state: expected a nonempty list of [re, im] pairs\n"
+    )
+
+
+def test_emit_rejects_an_unknown_format():
+    with pytest.raises(ValidationError) as exc:
+        emit(ResultTable(("a",), ((1.0,),), {}), "xml")
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "format must be \"csv\" or \"json\", got 'xml'"
+
+
+def test_emit_names_a_path_it_cannot_write(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(OSError) as exc:
+        emit(ResultTable(("a",), ((1.0,),), {}), "csv", path)
+    assert type(exc.value) is OSError
+    assert str(exc.value) == (
+        f"cannot write output to {path}: [Errno 2] No such file or directory: '{path}'"
+    )
+
+
+def _refuse_eigh(*args, **kwargs):
+    raise AssertionError("eigh called before the field sizes were compared")
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("rho_apparatus", pairs(np.eye(3) / 3), "rho_apparatus: dimension 3 != dim_apparatus 2"),
+        ("rho_object", pairs(np.eye(3) / 3), "rho_object: dimension 3 != dim_object 2"),
+        ("pointer", [pairs(np.diag(row)) for row in np.eye(4)],
+         "pointer: dimension 4 != dim_apparatus 2"),
+    ],
+    ids=["rho-apparatus", "rho-object", "pointer"],
+)
+def test_premeasure_names_a_field_of_the_wrong_size_before_any_eigensolve(
+    tmp_path, capsys, monkeypatch, field, value, message
+):
+    # The first two were reported as "unitary: apparatus state dimension 3 != 2"
+    # and "unitary: pointer PVM dimension 4 != 2", and every density operator
+    # went through eigh before its size was compared: 9.3 s for a 1500 x 1500
+    # rho_apparatus.
+    monkeypatch.setattr(np.linalg, "eigh", _refuse_eigh)
+    config = dict(identity_premeasure(2, 2), **{field: value})
+    assert run_main(tmp_path, capsys, json.dumps(config), "validate") == (
+        1, "", f"config error: {message}\n"
+    )
+
+
+def test_premeasure_pointer_holds_at_most_dim_apparatus_projectors(tmp_path, capsys):
+    config = identity_premeasure(2, 2)
+    config["pointer"].append(pairs(np.zeros((2, 2))))
+    assert run_main(tmp_path, capsys, json.dumps(config)) == (
+        1, "", "config error: pointer: PVM has 3 projectors, more than its dimension 2\n"
+    )
+
+
+def _block_hamiltonian(block):
+    """A 2 x 2 premeasure config whose 4 x 4 Hamiltonian holds `block` top left."""
+    h = np.zeros((4, 4))
+    h[:2, :2] = block
+    return json.dumps(dict(hamiltonian_premeasure(2, 2), hamiltonian=pairs(h)))
+
+
+def test_premeasure_hamiltonian_near_the_float_maximum_runs_without_warnings(tmp_path, capsys):
+    # the Jacobi angle's atan2(2 r, gap) overflowed: exit 0 with two RuntimeWarnings
+    text = _block_hamiltonian([[1e308, 1e308], [1e308, -1e308]])
+    code, out, err = run_main(tmp_path, capsys, text)
+    assert (code, err) == (0, "")
+    assert out.startswith("effect,row,col,re,im,consistency_residual\n")
+
+
+def test_premeasure_hamiltonian_that_overflows_the_eigensolver_is_a_solver_error(tmp_path, capsys):
+    assert run_main(tmp_path, capsys, _block_hamiltonian([[0, 1.7e308], [1.7e308, 0]])) == (
+        3, "", "solver error: Jacobi eigensolver overflowed after 0 sweeps\n"
+    )

@@ -383,3 +383,10 @@ def test_sample_check_empirical_chsh_stays_classical():
 def test_sample_check_requires_positive_samples():
     with pytest.raises(ValidationError, match=r"^n_samples must be >= 1, got 0$"):
         quadruple_sample_check(entangled_pair_state(), _config(0.5, 0.5), 0, seed=1)
+
+
+def test_chsh_result_needs_exactly_four_correlations():
+    with pytest.raises(ValidationError) as exc:
+        ChshResult(correlations=(0.5, 0.5, 0.5), s_value=0.5, violates=False)
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "exactly four correlations expected"

@@ -19,7 +19,7 @@ from qmeas.nonideality import (
     recover_nonideality,
     row_entropy_measure,
 )
-from qmeas.operators import Operator, ValidationError, identity
+from qmeas.operators import DimensionMismatchError, Operator, ValidationError, identity
 from qmeas.povm import BivariatePovm, Povm, validate_povm
 from qmeas.states import (
     PAULI_X,
@@ -371,3 +371,47 @@ def test_recover_dimension_mismatch():
         recover_nonideality(
             validate_povm([identity(2)]), Povm.from_pvm(spectral_pvm(random_hermitian(np.random.default_rng(1), 3)))
         )
+
+
+def test_mismatched_dimensions_are_named():
+    with pytest.raises(DimensionMismatchError) as exc:
+        martens_bound(polarization_pvm(0.1), spectral_pvm(Operator(np.diag([1.0, 2.0, 3.0]))))
+    assert str(exc.value) == "PVM dimensions differ: 2 vs 3"
+    with pytest.raises(DimensionMismatchError) as exc:
+        check_heisenberg(states.maximally_mixed(3), PAULI_X, PAULI_Z)
+    assert str(exc.value) == "dimensions differ: state 3, operands 2 and 2"
+
+
+def _exact_smearing(seed, dim):
+    """(m, n): a seeded random POVM n and m = lam . n for a random column-stochastic lam,
+    so a residual-0 recovery exists."""
+    rng = np.random.default_rng(seed)
+    k, km = (int(x) for x in rng.integers(2, 5, size=2))
+    a = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+    a = a @ a.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(a.sum(axis=0))
+    root = (v / np.sqrt(w)) @ v.conj().T  # (sum a)^(-1/2)
+    n = root @ a @ root
+    lam = rng.uniform(size=(km, k))
+    m = np.einsum("mn,nij->mij", lam / lam.sum(axis=0), n)
+    return Povm(0.5 * (m + m.conj().transpose(0, 2, 1))), Povm(n)
+
+
+def test_recovery_of_an_exact_smearing_converges():
+    # The backtracking search halved its step for good once round-off near
+    # convergence beat its absolute 1e-15 slack, and this recovery then ran
+    # out of iterations; the exact 1/L step needs no search.
+    m, n = _exact_smearing(0, 8)
+    assert recover_nonideality(m, n).residual < 1e-7
+
+
+def test_unconverged_recovery_keeps_an_iterate_no_worse_than_the_start(monkeypatch):
+    m, n = _exact_smearing(0, 8)
+    residuals = []
+    for cap in (0, 5):
+        monkeypatch.setattr(nonideality, "MAX_SOLVER_ITERATIONS", cap)
+        with pytest.raises(RecoveryError) as exc:
+            recover_nonideality(m, n)
+        residuals.append(exc.value.residual)
+    start, after_five = residuals
+    assert after_five <= start

@@ -177,6 +177,20 @@ def test_herm_eig_bytes_are_pinned():
     assert digest.hexdigest() == "7b69410ef027c257b574eb7dd8a649ac443f29f2757f40953e9ef68c7cfe29ce"
 
 
+def test_herm_eig_angle_does_not_overflow_near_the_float_maximum():
+    # atan2(2 r, a_pp - a_qq) overflowed here with two RuntimeWarnings, though
+    # the eigenvalues came out right
+    eig = herm_eig(Operator([[1e308, 1e308], [1e308, -1e308]]))
+    want = np.sqrt(2.0) * 1e308
+    assert np.abs(eig.eigenvalues - [-want, want]).max() <= 1e-15 * want
+
+
+def test_herm_eig_names_an_input_whose_off_diagonal_norm_overflows():
+    with pytest.raises(EigensolverError) as exc:
+        herm_eig(Operator([[0, 1.7e308], [1.7e308, 0]]))
+    assert str(exc.value) == "Jacobi eigensolver overflowed after 0 sweeps"
+
+
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         herm_eig(Operator([[0, 1], [0, 0]]))

@@ -454,3 +454,18 @@ def test_distribution_sum_overflow_prints_finite():
     with pytest.raises(ValidationError) as failed:
         OutcomeDistribution([1.7e308, 1.7e308])
     assert str(failed.value) == "probabilities sum to 1.79769313486e+308, expected 1"
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: Povm([]), PovmValidationError, "POVM needs at least one effect"),
+        (lambda: OutcomeDistribution([]), ValidationError,
+         "distribution needs at least one outcome"),
+    ],
+    ids=["povm", "distribution"],
+)
+def test_empty_povm_and_distribution_are_rejected(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -272,3 +272,19 @@ def test_unitarity_residual_is_finite_when_the_product_overflows():
         PremeasurementModel(
             pure_state([1, 0]), Operator(1e200 * np.eye(4)), computational_pointer(), 2, 2
         )
+
+
+def test_model_rejects_a_pointer_of_another_dimension():
+    pointer = spectral_pvm(Operator(np.diag([1.0, 2.0, 3.0])))
+    with pytest.raises(DimensionMismatchError) as exc:
+        PremeasurementModel(pure_state([1.0, 0.0]), CNOT, pointer, 2, 2)
+    assert type(exc.value) is DimensionMismatchError
+    assert str(exc.value) == "pointer PVM dimension 3 != 2"
+
+
+def test_evolve_joint_rejects_an_object_state_of_another_dimension():
+    model = PremeasurementModel(pure_state([1.0, 0.0]), CNOT, computational_pointer(), 2, 2)
+    with pytest.raises(DimensionMismatchError) as exc:
+        evolve_joint(pure_state([1.0, 0.0, 0.0]), model)
+    assert type(exc.value) is DimensionMismatchError
+    assert str(exc.value) == "object state dimension 3 != 2"

@@ -216,9 +216,9 @@ _OVERLAPPING_D4 = [Operator(np.diag(np.eye(4)[k])) for k in range(2)] + [
 @pytest.mark.parametrize(
     "projectors,message",
     [
-        # pairs (0, 2) and (1, 2) overlap: the first pair in row-major order is named
+        # three valid projectors on d = 2: their count is named before any pair
         ([_E0, _E1, polarization_projector(0.3)],
-         "projectors 0 and 2 are not orthogonal (residual 9.127e-01)"),
+         "PVM has 3 projectors, more than its dimension 2"),
         # projector 1 is checked for idempotence before any pair
         ([_E0, 0.5 * _E1, polarization_projector(0.3)],
          "projector 1 is not idempotent (residual 2.500e-01)"),
@@ -242,11 +242,13 @@ def test_pvm_keeps_the_read_only_stack_it_checked():
 
 
 def test_pvm_memory_does_not_grow_with_the_square_of_the_projector_count():
-    # orthogonality used to be one (k, k, d, d) product: 64 MB at k = 1,000, d = 2
+    # an unbounded k once made the orthogonality check one (k, k, d, d) product:
+    # 64 MB at k = 1,000, d = 2; k > d is now refused before any pair product
     projectors = [Operator(np.eye(2))] + [Operator(np.zeros((2, 2)))] * 999
     tracemalloc.start()
     try:
-        Pvm(projectors, range(1000))
+        with pytest.raises(ValidationError, match="^PVM has 1000 projectors, more than its dim"):
+            Pvm(projectors, range(1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,3 +308,20 @@ def test_maximally_mixed():
 
 def test_pauli_y_hermitian():
     assert PAULI_Y.is_hermitian()
+
+
+@pytest.mark.parametrize(
+    "projectors,labels,error,message",
+    [
+        ([], [], ValidationError, "PVM needs at least one projector"),
+        ([_E0, _E1], [0], ValidationError, "labels and projectors must have matching length"),
+        ([_E0, Operator(np.diag([0.0, 1.0, 0.0]))], [0, 1], DimensionMismatchError,
+         "projector 1 has dimension 3, expected 2"),
+        ([_E0], [0], ValidationError, "projectors do not sum to identity (residual 1.000e+00)"),
+    ],
+    ids=["empty", "labels", "dimension", "closure"],
+)
+def test_pvm_rejects_malformed_projector_lists(projectors, labels, error, message):
+    with pytest.raises(error) as exc:
+        Pvm(projectors, labels)
+    assert type(exc.value) is error and str(exc.value) == message
