@@ -76,13 +76,11 @@ class EprBellConfig:
 
 @dataclass(frozen=True)
 class ChshResult:
-    """Four pair correlations E(a,b), E(a,b'), E(a',b), E(a',b'), the CHSH
-    combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), and whether the
-    classical bound |S| <= 2 is exceeded."""
+    """Four pair correlations E(a,b), E(a,b'), E(a',b), E(a',b'); the CHSH
+    combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b') and whether it
+    exceeds the classical bound |S| <= 2 are computed from them."""
 
     correlations: tuple
-    s_value: float
-    violates: bool
 
     def __post_init__(self):
         if len(self.correlations) != 4:
@@ -90,18 +88,15 @@ class ChshResult:
         for k, e in enumerate(self.correlations):
             if abs(e) > 1.0 + CHSH_BOUND_TOL:
                 raise ValidationError(f"correlation {k} = {e:.12g} outside [-1, 1]")
-        if self.violates != (abs(self.s_value) > 2.0 + CHSH_BOUND_TOL):
-            raise ValidationError("violates flag inconsistent with s_value")
 
+    @property
+    def s_value(self) -> float:
+        e_ab, e_abp, e_apb, e_apbp = self.correlations
+        return e_ab - e_abp + e_apb + e_apbp
 
-def _chsh_result(correlations) -> ChshResult:
-    e_ab, e_abp, e_apb, e_apbp = (float(x) for x in correlations)
-    s = e_ab - e_abp + e_apb + e_apbp
-    return ChshResult(
-        correlations=(e_ab, e_abp, e_apb, e_apbp),
-        s_value=s,
-        violates=abs(s) > 2.0 + CHSH_BOUND_TOL,
-    )
+    @property
+    def violates(self) -> bool:
+        return abs(self.s_value) > 2.0 + CHSH_BOUND_TOL
 
 
 def _whichway_cells(theta: float, theta_prime: float, gamma: float) -> np.ndarray:
@@ -150,7 +145,10 @@ class SweepPoint:
     j_lambda: float
     j_mu: float
     bound: float
-    slack: float
+
+    @property
+    def slack(self) -> float:
+        return self.j_lambda + self.j_mu - self.bound
 
 
 def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
@@ -167,7 +165,7 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
         cells = _whichway_cells(theta, theta_prime, float(gamma))
         lam, mu = (_recover(cells.sum(axis=ax), *t) for ax, t in zip((1, 0), targets))
         j_lam, j_mu = row_entropy_measure(lam), row_entropy_measure(mu)
-        points.append(SweepPoint(float(gamma), j_lam, j_mu, bound, j_lam + j_mu - bound))
+        points.append(SweepPoint(float(gamma), j_lam, j_mu, bound))
     return points
 
 
@@ -205,7 +203,7 @@ def chsh_single_setup(rho: DensityOperator, c: EprBellConfig) -> ChshResult:
 
 def _single_setup_result(probs: np.ndarray) -> ChshResult:
     """CHSH result of one two-arm distribution, shaped (m1, n1, m2, n2)."""
-    return _chsh_result(_pair_correlation(probs, a, b) for a, b in _CHSH_AXES)
+    return ChshResult(tuple(_pair_correlation(probs, a, b) for a, b in _CHSH_AXES))
 
 
 def chsh_pasted_aspect(
@@ -231,7 +229,7 @@ def chsh_pasted_aspect(
         arm2 = WhichWayConfig(theta2, theta2_prime, gamma2)
         probs = _expectations(rho, _two_arm_cells(arm1, arm2))
         correlations.append(_pair_correlation(probs, axis_a, axis_b))
-    return _chsh_result(correlations)
+    return ChshResult(tuple(correlations))
 
 
 @dataclass(frozen=True)
@@ -255,7 +253,7 @@ def quadruple_sample_check(
     total-variation distance must fall below 3 sqrt(ln(16)/n); a larger
     distance means the sampler is broken and raises.
     """
-    exact = distribution(rho, eprbell_povm(c))
+    exact = OutcomeDistribution(_expectations(rho, _two_arm_cells(c.arm1, c.arm2)))
     counts = sample_counts(exact.probabilities, n_samples, seed)
     empirical = OutcomeDistribution(counts / float(n_samples))
     tv = 0.5 * float(np.abs(empirical.probabilities - exact.probabilities).sum())

@@ -103,20 +103,18 @@ class NonidealityMatrix:
 class InequalityReport:
     """Evaluated inequality: lhs >= rhs expected, slack = lhs - rhs.
 
-    `tol` records the tolerance below which negative slack counts as a
-    violation; satisfied <=> slack >= -tol.
+    `tol` is the tolerance below which negative slack counts as a
+    violation; `satisfied` is computed as slack >= -tol.
     """
 
     lhs: float
     rhs: float
-    satisfied: bool
     slack: float
-    tol: float = HERMITICITY_TOL
+    tol: float
 
-    @classmethod
-    def from_sides(cls, lhs: float, rhs: float, tol: float = HERMITICITY_TOL):
-        slack = lhs - rhs
-        return cls(lhs=lhs, rhs=rhs, satisfied=slack >= -tol, slack=slack, tol=tol)
+    @property
+    def satisfied(self) -> bool:
+        return self.slack >= -self.tol
 
 
 def _project_columns(x: np.ndarray) -> np.ndarray:
@@ -231,7 +229,8 @@ def check_martens(r: BivariatePovm, e: Pvm, f: Pvm) -> InequalityReport:
                 f"recovery residual {rec.residual:.3e} > {JOINT_RESIDUAL_TOL:.0e}"
             )
     lhs = row_entropy_measure(lam) + row_entropy_measure(mu)
-    return InequalityReport.from_sides(lhs, martens_bound(e, f), tol=MARTENS_SLACK_TOL)
+    rhs = martens_bound(e, f)
+    return InequalityReport(lhs, rhs, lhs - rhs, MARTENS_SLACK_TOL)
 
 
 def check_heisenberg(rho: DensityOperator, a: Operator, b: Operator) -> InequalityReport:
@@ -249,4 +248,4 @@ def check_heisenberg(rho: DensityOperator, a: Operator, b: Operator) -> Inequali
     rhs = 0.5 * abs(complex(np.trace(rho.mat @ (a_s @ b_s - b_s @ a_s))))
     with np.errstate(over="ignore"):  # a side beyond the float range reads inf, never NaN
         lhs, rhs, slack = (float(np.ldexp(x, ea + eb)) for x in (lhs, rhs, lhs - rhs))
-    return InequalityReport(lhs, rhs, slack >= -HERMITICITY_TOL, slack, HERMITICITY_TOL)
+    return InequalityReport(lhs, rhs, slack, HERMITICITY_TOL)

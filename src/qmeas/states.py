@@ -47,10 +47,10 @@ PAULI_Z = Operator([[1, 0], [0, -1]])
 class DensityOperator:
     """Positive-semidefinite unit-trace operator representing a preparation.
 
-    Validation is eager: hermiticity, positivity and unit trace are checked
-    on construction, each within HERMITICITY_TOL.  One LAPACK `eigh` of the
-    symmetrized matrix decides positivity, gives the rejection message its
-    eigenvalue and is kept, read-only, as `eig`.
+    Validation is eager: the dimension (2..16), then hermiticity, positivity
+    and unit trace, each within HERMITICITY_TOL, are checked on construction.
+    One LAPACK `eigh` of the symmetrized matrix decides positivity, gives the
+    rejection message its eigenvalue and is kept, read-only, as `eig`.
     """
 
     __slots__ = ("op", "_eig")
@@ -58,6 +58,8 @@ class DensityOperator:
     def __init__(self, op):
         if not isinstance(op, Operator):
             op = Operator(op)
+        if not 2 <= op.dim <= 16:  # before the eigensolve, as in `herm_eig`
+            raise DimensionMismatchError(f"density operator dimension {op.dim} outside 2..16")
         symmetrized = _require_hermitian(op, HERMITICITY_TOL, "density operator")
         try:
             eigenvalues, eigenvectors = np.linalg.eigh(symmetrized)
@@ -241,14 +243,18 @@ def std_dev(rho: DensityOperator, a: Operator) -> float:
 
 
 def polarization_projector(theta: float) -> Operator:
-    """Rank-1 projector onto the linear polarization direction theta (radians)."""
+    """Rank-1 projector onto the linear polarization direction theta (radians).
+    theta is first reduced mod 2 pi, exactly (the identity for |theta| < 2 pi)."""
+    theta = np.fmod(theta, 2.0 * np.pi)
     c, s = np.cos(theta), np.sin(theta)
     return Operator([[c * c, c * s], [c * s, s * s]])
 
 
 def polarization_pvm(theta: float) -> Pvm:
     """Two-outcome PVM {E_+, E_-} of the polarization observable at theta,
-    labels +1 (parallel) and -1 (orthogonal)."""
+    labels +1 (parallel) and -1 (orthogonal).  theta is reduced mod 2 pi
+    first, so that theta + pi / 2 rounds no further than it does below 2 pi."""
+    theta = np.fmod(theta, 2.0 * np.pi)
     return Pvm(
         [polarization_projector(theta), polarization_projector(theta + np.pi / 2.0)],
         [1.0, -1.0],

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,18 @@ def test_hamiltonian_phase_beyond_the_float_range_is_named(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("field", ["theta_deg", "theta_prime_deg"])
+def test_whichway_runs_at_a_large_finite_angle(tmp_path, capsys, field):
+    # this exited 2: "domain error: projectors 0 and 1 are not orthogonal
+    # (residual 1.349e-08)", because theta + pi / 2 rounded at ulp(theta)
+    code, out, err = run_main(tmp_path, capsys, shipped("whichway", **{field: 1e10}))
+    assert (code, err) == (0, "")
+    (row,) = _csv_values(out)
+    gamma = json.loads(shipped("whichway"))["gamma"]
+    # lambda_pp..mm and mu_pp..mm are the closed-form smearings at any angle pair
+    assert np.abs(row[4:12] - [gamma, 0, 1 - gamma, 1, 1 - gamma, 0, gamma, 1]).max() < 1e-7
+
+
 def test_subnormal_angle_prints_what_angle_zero_prints(tmp_path, capsys):
     # A subnormal angle leaves subnormal off-diagonal entries in the d = 4 cells,
     # which the eigensolver used to rotate on (RuntimeWarnings, NaN eigenvalues).
@@ -812,3 +825,99 @@ def test_premeasure_hamiltonian_that_overflows_the_eigensolver_is_a_solver_error
     assert run_main(tmp_path, capsys, _block_hamiltonian([[0, 1.7e308], [1.7e308, 0]])) == (
         3, "", "solver error: Jacobi eigensolver overflowed after 0 sweeps\n"
     )
+
+
+def _state_vector(n):
+    return [[1, 0]] + [[0, 0]] * (n - 1)
+
+
+def _premeasure_field(dim_o, dim_a, field, value, base=identity_premeasure):
+    return json.dumps(dict(base(dim_o, dim_a), **{field: pairs(value)}))
+
+
+def _pointer(dim_a, n):
+    """A premeasure config whose pointer holds the dim_a basis projectors, then zeros, n in all."""
+    basis = [np.diag(row) for row in np.eye(dim_a)] + [np.zeros((dim_a, dim_a))] * (n - dim_a)
+    return json.dumps(dict(identity_premeasure(2, dim_a), pointer=[pairs(p) for p in basis[:n]]))
+
+
+_HALF = premeasurement.MAX_JOINT_DIM // 2  # the largest factor dimension beside a qubit
+# Every list-valued or count-valued config field: its documented limit, and the
+# config text that sets the field to n.  A sized field missing here fails
+# `test_every_config_field_is_scalar_or_has_a_limit`.
+SIZED_FIELDS = {
+    ("whichway", "state"): (2, lambda n: shipped("whichway", state=_state_vector(n))),
+    ("martens-sweep", "n_points"): (cli.MAX_POINTS, lambda n: shipped("entropy_sweep", n_points=n)),
+    ("epr-bell", "state"): (4, lambda n: shipped("epr_bell", state=_state_vector(n))),
+    ("chsh-pasted", "state"): (4, lambda n: shipped("chsh_pasted", state=_state_vector(n))),
+    ("sample", "state"): (4, lambda n: shipped("sample", state=_state_vector(n))),
+    ("sample", "n_samples"): (cli.MAX_SAMPLES, lambda n: shipped("sample", n_samples=n)),
+    ("premeasure", "dim_object"): (_HALF, lambda n: json.dumps(identity_premeasure(n, 2))),
+    ("premeasure", "dim_apparatus"): (_HALF, lambda n: json.dumps(identity_premeasure(2, n))),
+    ("premeasure", "unitary"): (
+        premeasurement.MAX_JOINT_DIM, lambda n: _premeasure_field(4, 4, "unitary", np.eye(n))
+    ),
+    ("premeasure", "hamiltonian"): (
+        premeasurement.MAX_JOINT_DIM,
+        lambda n: _premeasure_field(4, 4, "hamiltonian", np.zeros((n, n)), hamiltonian_premeasure),
+    ),
+    ("premeasure", "rho_apparatus"): (
+        _HALF, lambda n: _premeasure_field(2, _HALF, "rho_apparatus", np.eye(n) / n)
+    ),
+    ("premeasure", "rho_object"): (
+        _HALF, lambda n: _premeasure_field(_HALF, 2, "rho_object", np.eye(n) / n)
+    ),
+    ("premeasure", "pointer"): (_HALF, lambda n: _pointer(_HALF, n)),
+}
+# Fields whose value sets no size: one number each.
+SCALAR_FIELDS = {
+    "theta_deg", "theta_prime_deg", "gamma", "theta1_deg", "theta1_prime_deg", "theta2_deg",
+    "theta2_prime_deg", "gamma1", "gamma2", "time", "seed",
+}
+# A run at n_points = MAX_POINTS takes over 20 s, so that limit is checked by
+# `validate` only; every other field runs at its limit, the slowest (n_samples)
+# in about 3 s.
+VALIDATE_ONLY = {("martens-sweep", "n_points")}
+LIMIT_PEAK = 2**20  # traced allocation peak of one run at a limit, in bytes (0.28 MiB measured)
+
+
+def test_every_config_field_is_scalar_or_has_a_limit():
+    for kind, spec in KINDS.items():
+        for field in spec.fields:
+            assert (kind, field) in SIZED_FIELDS or field in SCALAR_FIELDS, (kind, field)
+    assert {kind for kind, _ in SIZED_FIELDS} <= set(KINDS)
+    assert all(field in KINDS[kind].fields for kind, field in SIZED_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "kind, field", sorted(SIZED_FIELDS), ids=[f"{k}/{f}" for k, f in sorted(SIZED_FIELDS)]
+)
+def test_each_sized_field_runs_at_its_limit_and_exits_1_beyond(tmp_path, capsys, kind, field):
+    limit, config = SIZED_FIELDS[(kind, field)]
+    for command in ("validate", "run"):
+        code, out, err = run_main(tmp_path, capsys, config(limit + 1), command)
+        assert (code, out) == (1, ""), (command, err)
+        assert err.startswith("config error: ")
+    assert run_main(tmp_path, capsys, config(limit), "validate") == (0, f"ok: {kind}\n", "")
+    if (kind, field) in VALIDATE_ONLY:
+        return
+    tracemalloc.start()
+    try:
+        code, _, err = run_main(tmp_path, capsys, config(limit))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < LIMIT_PEAK, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
+def test_each_scalar_field_rejects_a_list(tmp_path, capsys, field):
+    kind = next(kind for kind, spec in KINDS.items() if field in spec.fields)
+    base = {"whichway": shipped("whichway"), "martens-sweep": shipped("entropy_sweep"),
+            "epr-bell": shipped("epr_bell"), "chsh-pasted": shipped("chsh_pasted"),
+            "premeasure": json.dumps(hamiltonian_premeasure(2, 2)), "sample": shipped("sample")}
+    config = dict(json.loads(base[kind]), **{field: [1, 2]})
+    code, out, err = run_main(tmp_path, capsys, json.dumps(config), "validate")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"config error: {field}: expected ")

@@ -128,12 +128,12 @@ def test_martens_sweep_points_equal_the_per_point_recovery(theta, theta_prime, n
     for p, gamma in zip(martens_sweep(theta, theta_prime, n), np.linspace(0.0, 1.0, n)):
         lam, mu = whichway_nonideality(WhichWayConfig(theta, theta_prime, float(gamma)))
         j_lam, j_mu = row_entropy_measure(lam), row_entropy_measure(mu)
-        expected = SweepPoint(float(gamma), j_lam, j_mu, bound, j_lam + j_mu - bound)
+        expected = SweepPoint(float(gamma), j_lam, j_mu, bound)
         assert _hex_fields(p) == _hex_fields(expected)
 
 
 def _hex_fields(point):
-    return [float.hex(x) for x in dataclasses.astuple(point)]
+    return [float.hex(x) for x in (*dataclasses.astuple(point), point.slack)]
 
 
 @pytest.fixture
@@ -295,6 +295,24 @@ def test_eprbell_povm_validates_only_the_grid_it_returns(validated_effect_counts
     assert validated_effect_counts == [16]
 
 
+def test_sample_check_validates_no_grid(validated_effect_counts):
+    # its exact law read the validated 16-cell grid, which it never returns
+    quadruple_sample_check(entangled_pair_state(), _config(0.3, 0.8), 1000, seed=3)
+    assert validated_effect_counts == []
+
+
+def test_sample_check_law_equals_the_validated_distribution():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        rho = random_density(rng, 4)
+        config = _config(*rng.uniform(0.0, 1.0, 2), tuple(rng.uniform(-np.pi, np.pi, 4)))
+        check = quadruple_sample_check(rho, config, 1000, seed=3)
+        exact = distribution(rho, eprbell_povm(config)).probabilities
+        assert [float.hex(p) for p in check.exact.probabilities.flat] == [
+            float.hex(p) for p in exact.flat
+        ]
+
+
 def test_pasted_aspect_validates_no_intermediate_grid(validated_effect_counts):
     # each corner used to build and validate three grids: 12 checks
     chsh_pasted_aspect(entangled_pair_state(), *OPTIMAL_ANGLES)
@@ -350,10 +368,17 @@ def test_pasted_aspect_separable_state_within_bound():
 
 
 def test_chsh_result_validates_correlation_range():
-    with pytest.raises(ValidationError):
-        ChshResult(correlations=(1.5, 0.0, 0.0, 0.0), s_value=1.5, violates=False)
-    with pytest.raises(ValidationError):
-        ChshResult(correlations=(1.0, 1.0, 1.0, 1.0), s_value=2.0, violates=True)
+    with pytest.raises(ValidationError, match=r"^correlation 0 = 1.5 outside \[-1, 1\]$"):
+        ChshResult((1.5, 0.0, 0.0, 0.0))
+
+
+def test_chsh_result_computes_s_and_the_verdict_from_its_correlations():
+    # S and the flag were constructor inputs, checked against each other
+    result = ChshResult((1.0, 1.0, 1.0, 1.0))
+    assert result.s_value == 2.0
+    assert result.violates is False
+    result = ChshResult((1.0, -1.0, 1.0, 1.0))
+    assert (result.s_value, result.violates) == (4.0, True)
 
 
 def test_sample_check_converges_and_is_deterministic():
@@ -387,6 +412,6 @@ def test_sample_check_requires_positive_samples():
 
 def test_chsh_result_needs_exactly_four_correlations():
     with pytest.raises(ValidationError) as exc:
-        ChshResult(correlations=(0.5, 0.5, 0.5), s_value=0.5, violates=False)
+        ChshResult((0.5, 0.5, 0.5))
     assert type(exc.value) is ValidationError
     assert str(exc.value) == "exactly four correlations expected"

@@ -3,7 +3,9 @@
 No linter ships with the test dependencies, so this standard-library check
 stands in for one: an imported name that its module never reads and does not
 list in its `__all__` fails, unless the import line carries `# noqa: F401`
-(a binding kept for code outside the package).
+(a binding kept for code outside the package).  Such a marked, unused import
+must be a binding that `ALIASES` in bench/test_bench.py pins, so none is left
+behind once the bench stops pinning it.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qmeas"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qmeas"
 
 
 def _exported(tree) -> set:
@@ -24,21 +27,48 @@ def _exported(tree) -> set:
     return set()
 
 
-def unused_imports(source: str) -> list:
-    """(line, name) of every imported name the source neither reads nor exports."""
+def _unread_imports(source: str):
+    """(line, name, module imported from, marked) of every imported name the
+    source neither reads nor exports; marked means the line has `# noqa: F401`."""
     tree = ast.parse(source)
     lines = source.splitlines()
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
-    unused = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
+        home = node.module if isinstance(node, ast.ImportFrom) else None
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
             marked = any("# noqa: F401" in lines[k - 1] for k in (node.lineno, alias.lineno))
-            if name != "*" and name not in used and not marked:
-                unused.append((alias.lineno, name))
-    return unused
+            if name != "*" and name not in used:
+                yield alias.lineno, name, home, marked
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name the source neither reads nor exports
+    and does not mark."""
+    return [(line, name) for line, name, _, marked in _unread_imports(source) if not marked]
+
+
+def unpinned_marks(module: str, source: str, aliases) -> list:
+    """(line, name) of every marked, unread import of `module` that no
+    (home, name, users) row of `aliases` pins, i.e. lists `module` among its users."""
+    pinned = {(user, home, name) for home, name, users in aliases for user in users}
+    return [
+        (line, name)
+        for line, name, home, marked in _unread_imports(source)
+        if marked and (module, home, name) not in pinned
+    ]
+
+
+def _bench_aliases() -> list:
+    """`ALIASES` of bench/test_bench.py, read as a literal without importing the bench."""
+    tree = ast.parse((ROOT / "bench" / "test_bench.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "ALIASES" for t in targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/test_bench.py defines no ALIASES")
 
 
 def test_the_check_flags_only_unused_unexported_unmarked_names():
@@ -61,3 +91,22 @@ def test_the_check_flags_only_unused_unexported_unmarked_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used_exported_or_marked(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_pin_check_flags_only_marks_no_alias_pins():
+    aliases = [("operators", "herm_eig", ["povm"]), ("povm", "marginal", ["cli"])]
+    source = (
+        "from .operators import herm_eig  # noqa: F401\n"
+        "from .povm import marginal  # noqa: F401\n"
+        "from .operators import tensor_product  # noqa: F401\n"
+        "from .states import pure_state  # noqa: F401\n"
+        "pure_state\n"
+    )
+    assert unpinned_marks("povm", source, aliases) == [(2, "marginal"), (3, "tensor_product")]
+    assert unpinned_marks("cli", source, aliases) == [(1, "herm_eig"), (3, "tensor_product")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_marked_unused_import_is_a_binding_the_bench_pins(path):
+    source = path.read_text(encoding="utf-8")
+    assert unpinned_marks(path.stem, source, _bench_aliases()) == []

@@ -358,10 +358,12 @@ def test_std_dev_stays_finite_where_the_mean_leaves_the_float_range():
 
 
 def test_inequality_report_consistency():
-    rep = InequalityReport.from_sides(1.0, 2.0, tol=1e-9)
+    # `satisfied` is computed from the slack and tol, so no report contradicts them
+    rep = InequalityReport(1.0, 2.0, -1.0, 1e-9)
     assert not rep.satisfied and rep.slack == -1.0
-    rep = InequalityReport.from_sides(2.0, 1.0)
+    rep = InequalityReport(2.0, 1.0, 1.0, 1e-9)
     assert rep.satisfied and rep.slack == 1.0
+    assert InequalityReport(1.0, 1.0 + 1e-6, -1e-6, 1e-6).satisfied
 
 
 def test_recover_dimension_mismatch():

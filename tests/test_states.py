@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,42 @@ def test_pvm_rejects_dimensions_outside_2_to_16_before_any_product(dim):
     # 2 I is not idempotent: the dimension is named before P @ P is formed
     with pytest.raises(DimensionMismatchError, match=f"^PVM dimension {dim} outside 2..16$"):
         Pvm([2.0 * Operator(np.eye(dim))], [0])
+
+
+@pytest.mark.parametrize(
+    "make, dim",
+    [(lambda: pure_state([1.0]), 1), (lambda: DensityOperator(np.eye(17) / 17.0), 17)],
+    ids=["pure-state-d1", "mixed-d17"],
+)
+def test_density_operator_rejects_dimensions_outside_2_to_16_before_eigh(monkeypatch, make, dim):
+    # both were accepted, and a 1500 x 1500 state spent seconds in eigh first
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called before the dimension check")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(
+        DimensionMismatchError, match=f"^density operator dimension {dim} outside 2..16$"
+    ):
+        make()
+
+
+@pytest.mark.parametrize("theta", [2.0**27, 1.7e8, -3e12, 1e15])
+def test_polarization_pvm_accepts_large_finite_angles(theta):
+    # theta + pi / 2 rounded by up to half an ulp of theta, so from about 2^27 rad
+    # the two projectors failed the PVM's orthogonality check
+    pvm = polarization_pvm(theta)
+    reduced = math.fmod(theta, 2.0 * math.pi)
+    assert pvm.stack.tobytes() == polarization_pvm(reduced).stack.tobytes()
+    assert polarization_projector(theta).mat.tobytes() == pvm.stack[0].tobytes()
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_polarization_rejects_a_non_finite_angle_as_an_operator(theta):
+    # the mod-2-pi reduction must not turn this into another error type
+    with np.errstate(invalid="ignore"):
+        for build in (polarization_projector, polarization_pvm):
+            with pytest.raises(ValidationError, match=r"^operator entries must be finite"):
+                build(theta)
 
 
 def test_pvm_rejects_a_projector_that_is_not_an_operator():
