@@ -39,7 +39,8 @@ from .nonideality import MARTENS_SLACK_TOL, joint_nonideal_decomposition
 from .operators import DimensionMismatchError, Operator, SolverError, ValidationError
 from .povm import distribution
 from .premeasurement import MAX_JOINT_DIM, PremeasurementModel, induced_povm, pointer_consistency
-from .states import DensityOperator, Pvm, maximally_mixed, polarization_pvm, pure_state
+from .states import (DensityOperator, Pvm, entangled_pair_state, maximally_mixed,
+                     polarization_pvm, pure_state)
 
 __all__ = ["ConfigError", "ExperimentConfig", "ResultTable", "emit", "main", "parse_config", "run"]
 
@@ -73,12 +74,14 @@ class ResultTable:
 @dataclass(frozen=True)
 class Kind:
     """One config kind: the fields it accepts besides `kind`, `build(raw) -> params`,
-    `run(params, tol) -> rows`, and the CSV columns of those rows."""
+    `run(params, tol) -> rows`, the CSV columns of those rows, and the default
+    tolerance of the inequality the run asserts (None: it asserts none)."""
 
     fields: frozenset
     build: Callable
     run: Callable
     columns: tuple
+    tol: float = None
 
 
 def _fail(path: str, message: str):
@@ -158,9 +161,9 @@ def _operator_errors(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _state(raw: dict, dim: int, default_vec) -> DensityOperator:
+def _state(raw: dict, dim: int, default: Callable) -> DensityOperator:
     if "state" not in raw:
-        return pure_state(default_vec)
+        return default()
     value = raw["state"]
     if not isinstance(value, list) or not value:
         _fail("state", "expected a nonempty list of [re, im] pairs")
@@ -201,7 +204,6 @@ def parse_config(text: str) -> ExperimentConfig:
 # -- the kinds.  A builder reads fields in a fixed order, so the first bad field
 # is the one reported; a runner turns the parameters into result rows. ----------
 
-_ENTANGLED_VEC = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 _ARM_ANGLES = ("theta1_deg", "theta1_prime_deg", "theta2_deg", "theta2_prime_deg")
 _QUAD_OUTCOMES = ["".join(w) for w in product("pm", repeat=4)]
 
@@ -209,7 +211,7 @@ _QUAD_OUTCOMES = ["".join(w) for w in product("pm", repeat=4)]
 def _build_whichway(raw: dict) -> SimpleNamespace:
     angles = _angle(raw, "theta_deg"), _angle(raw, "theta_prime_deg")
     config = WhichWayConfig(*angles, _gamma(raw, "gamma"))
-    return SimpleNamespace(config=config, state=_state(raw, 2, [1.0, 0.0]))
+    return SimpleNamespace(config=config, state=_state(raw, 2, lambda: pure_state([1.0, 0.0])))
 
 
 def _run_whichway(p, tol) -> list:
@@ -230,11 +232,10 @@ def _build_sweep(raw: dict) -> SimpleNamespace:
 
 
 def _run_sweep(p, tol) -> list:
-    slack_floor = -(tol if tol is not None else MARTENS_SLACK_TOL)
     points = martens_sweep(p.theta, p.theta_prime, p.n_points)
     worst = min(pt.slack for pt in points)
-    if worst < slack_floor:
-        raise ValidationError(f"sweep slack {worst:.3e} below {slack_floor:.0e}")
+    if worst < -tol:
+        raise ValidationError(f"sweep slack {worst:.3e} below {-tol:.0e}")
     return [(pt.gamma, pt.j_lambda, pt.j_mu, pt.bound, pt.slack) for pt in points]
 
 
@@ -244,21 +245,21 @@ def _build_eprbell(raw: dict) -> SimpleNamespace:
         arm1=WhichWayConfig(t1, t1p, _gamma(raw, "gamma1")),
         arm2=WhichWayConfig(t2, t2p, _gamma(raw, "gamma2")),
     )
-    return SimpleNamespace(config=config, state=_state(raw, 4, _ENTANGLED_VEC))
+    return SimpleNamespace(config=config, state=_state(raw, 4, entangled_pair_state))
 
 
 def _run_eprbell(p, tol) -> list:
     probs = distribution(p.state, eprbell_povm(p.config)).probabilities
     result = _single_setup_result(probs)
     s = result.s_value
-    if abs(s) > 2.0 + (tol if tol is not None else CHSH_BOUND_TOL):
+    if abs(s) > 2.0 + tol:
         raise ValidationError(f"single-setup CHSH {s:.12g} exceeds the classical bound 2")
     return [[*probs.reshape(-1), *result.correlations, s]]
 
 
 def _build_pasted(raw: dict) -> SimpleNamespace:
     angles = [_angle(raw, key) for key in _ARM_ANGLES]
-    return SimpleNamespace(angles=angles, state=_state(raw, 4, _ENTANGLED_VEC))
+    return SimpleNamespace(angles=angles, state=_state(raw, 4, entangled_pair_state))
 
 
 def _run_pasted(p, tol) -> list:
@@ -274,6 +275,8 @@ def _build_premeasure(raw: dict) -> SimpleNamespace:
               f"got {dim_o * dim_a}")
     if ("unitary" in raw) == ("hamiltonian" in raw):
         _fail("unitary", "provide exactly one of 'unitary' or 'hamiltonian'+'time'")
+    if "time" in raw and "unitary" in raw:
+        _fail("time", "only with 'hamiltonian'")
     if "rho_apparatus" not in raw:
         _fail("rho_apparatus", "required field missing")
     projectors = raw.get("pointer")
@@ -309,9 +312,8 @@ def _build_premeasure(raw: dict) -> SimpleNamespace:
 def _run_premeasure(p, tol) -> list:
     povm = induced_povm(p.model)
     residual = pointer_consistency(p.rho_object, p.model)
-    limit = tol if tol is not None else CONSISTENCY_TOL
-    if residual >= limit:
-        raise ValidationError(f"pointer consistency residual {residual:.3e} >= {limit:.0e}")
+    if residual >= tol:
+        raise ValidationError(f"pointer consistency residual {residual:.3e} >= {tol:.0e}")
     return [
         (float(k), float(i), float(j), entry.real, entry.imag, residual)
         for k, effect in enumerate(povm.grid)
@@ -342,12 +344,12 @@ KINDS = {
     ),
     "martens-sweep": Kind(
         frozenset({"theta_deg", "theta_prime_deg", "n_points"}), _build_sweep, _run_sweep,
-        ("gamma", "j_lambda", "j_mu", "bound", "slack"),
+        ("gamma", "j_lambda", "j_mu", "bound", "slack"), MARTENS_SLACK_TOL,
     ),
     "epr-bell": Kind(
         _EPRBELL_FIELDS, _build_eprbell, _run_eprbell,
         tuple(f"p_{w}" for w in _QUAD_OUTCOMES)
-        + ("E_m1m2", "E_m1n2", "E_n1m2", "E_n1n2", "s_value"),
+        + ("E_m1m2", "E_m1n2", "E_n1m2", "E_n1n2", "s_value"), CHSH_BOUND_TOL,
     ),
     "chsh-pasted": Kind(
         frozenset({*_ARM_ANGLES, "state"}), _build_pasted, _run_pasted,
@@ -357,7 +359,7 @@ KINDS = {
         frozenset({"dim_object", "dim_apparatus", "unitary", "hamiltonian", "time",
                    "rho_apparatus", "pointer", "rho_object"}),
         _build_premeasure, _run_premeasure,
-        ("effect", "row", "col", "re", "im", "consistency_residual"),
+        ("effect", "row", "col", "re", "im", "consistency_residual"), CONSISTENCY_TOL,
     ),
     "sample": Kind(
         _EPRBELL_FIELDS | {"n_samples", "seed"}, _build_sample, _run_sample,
@@ -369,10 +371,13 @@ KINDS = {
 def run(config: ExperimentConfig, tol: float = None) -> ResultTable:
     """Execute a parsed config and return its result table.
 
-    `tol` overrides the tolerance of the kind's asserted inequality
-    (sweep slack, single-setup CHSH bound, pointer consistency).
+    `tol` must be finite; it overrides `Kind.tol` of the kind's asserted inequality
+    (sweep slack, single-setup CHSH bound, pointer consistency), and no other kind takes it.
     """
     kind = KINDS[config.kind]
+    tol = kind.tol if tol is None else _finite(tol, "--tol")
+    if tol is not None and kind.tol is None:
+        _fail("--tol", f"kind {config.kind} asserts no inequality")
     rows = kind.run(config.params, tol)
     metadata = {"kind": config.kind, "version": __version__, "config": config.raw}
     return ResultTable(columns=kind.columns, rows=tuple(tuple(r) for r in rows), metadata=metadata)
@@ -430,10 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    tol = getattr(args, "tol", None)
-    if tol is not None and not math.isfinite(tol):
-        print("config error: --tol: expected a finite number", file=sys.stderr)
-        return 1
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -444,7 +445,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             sys.stdout.write(f"ok: {config.kind}\n")
             return 0
-        table = run(config, tol=tol)
+        table = run(config, tol=args.tol)
         emit(table, args.format, args.out)
         return 0
     except ConfigError as exc:

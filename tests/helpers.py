@@ -1,7 +1,8 @@
-"""Shared random-object generators for the test suite."""
+"""Shared random-object generators and model patches for the test suite."""
 
 import numpy as np
 
+from qmeas import premeasurement
 from qmeas.operators import Operator, exp_hermitian_generator
 from qmeas.states import DensityOperator
 
@@ -25,3 +26,14 @@ def partial_trace_first(m, dim_first, dim_second):
     """Reference partial trace over the first tensor factor of an Operator."""
     blocks = m.mat.reshape(dim_first, dim_second, dim_first, dim_second)
     return Operator(np.einsum("ikil->kl", blocks))
+
+
+def halve_induced_effects(monkeypatch):
+    """Make every premeasurement model built from now on induce its effects halved."""
+    lifted_effects = premeasurement._lifted_effects
+
+    def halved(model):
+        lifted, effects = lifted_effects(model)
+        return lifted, effects / 2
+
+    monkeypatch.setattr(premeasurement, "_lifted_effects", halved)

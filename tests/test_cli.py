@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from helpers import halve_induced_effects
 
 from qmeas import cli, experiments, nonideality, operators, premeasurement
 from qmeas.operators import ValidationError
@@ -382,6 +383,40 @@ def test_main_rejects_non_finite_tol(capsys, name, tol):
     assert main(["run", "--config", str(ROOT / "configs" / f"{name}.json"), f"--tol={tol}"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "config error: --tol: expected a finite number\n")
+
+
+@pytest.mark.parametrize("name", ["entropy_sweep", "epr_bell", "premeasure_cnot"])
+def test_run_rejects_nan_tol_for_every_asserting_kind(name):
+    config = parse_config((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    with pytest.raises(ConfigError, match="^--tol: expected a finite number$"):
+        run(config, tol=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "name,kind", [("whichway", "whichway"), ("chsh_pasted", "chsh-pasted"), ("sample", "sample")]
+)
+def test_main_refuses_tol_for_a_kind_that_asserts_no_inequality(capsys, name, kind):
+    assert main(["run", "--config", str(ROOT / "configs" / f"{name}.json"), "--tol", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"config error: --tol: kind {kind} asserts no inequality\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("time", [1.0, "garbage", [1, 2]], ids=["number", "string", "list"])
+def test_main_refuses_time_beside_unitary(tmp_path, capsys, command, time):
+    text = shipped("premeasure_cnot", time=time)
+    expected = (1, "", "config error: time: only with 'hamiltonian'\n")
+    assert run_main(tmp_path, capsys, text, command) == expected
+
+
+def test_main_reports_an_inconsistent_premeasurement_model_as_domain_error(monkeypatch, capsys):
+    halve_induced_effects(monkeypatch)
+    assert main(["run", "--config", str(ROOT / "configs" / "premeasure_cnot.json")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "domain error: induced effects violate POVM axioms: "
+                                            "effects do not sum to identity (closure residual 5.000e-01)\n")
 
 
 @pytest.mark.parametrize("config", ["whichway.json", "entropy_sweep.json"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_density, random_hermitian, random_unitary
+from helpers import halve_induced_effects, random_density, random_hermitian, random_unitary
 
 from qmeas.nonideality import recover_nonideality
 from qmeas.operators import (
@@ -12,8 +12,9 @@ from qmeas.operators import (
     partial_trace_second,
     tensor_product,
 )
-from qmeas.povm import Povm
+from qmeas.povm import Povm, PovmValidationError
 from qmeas.premeasurement import (
+    ModelInconsistencyError,
     PremeasurementModel,
     evolve_joint,
     induced_povm,
@@ -230,6 +231,16 @@ def test_lifted_products_are_built_once_per_model(monkeypatch):
     monkeypatch.setattr("qmeas.premeasurement._lifted_effects", refuse)
     assert all(np.array_equal(e.mat, x) for e, x in zip(induced_povm(model).effects, expected))
     assert pointer_consistency(rho_o, model) < 1e-9
+
+
+def test_induced_povm_reports_effects_that_fail_the_povm_axioms(monkeypatch):
+    halve_induced_effects(monkeypatch)
+    with pytest.raises(ModelInconsistencyError) as info:
+        induced_povm(cnot_model())
+    assert str(info.value) == (
+        "induced effects violate POVM axioms: effects do not sum to identity (closure residual 5.000e-01)"
+    )
+    assert isinstance(info.value.__cause__, PovmValidationError)
 
 
 def test_lifted_stacks_are_read_only():
