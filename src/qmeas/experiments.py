@@ -169,18 +169,20 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
     return points
 
 
-def _two_arm_cells(arm1: WhichWayConfig, arm2: WhichWayConfig) -> np.ndarray:
-    """Unvalidated (2, 2, 2, 2, 4, 4) cells of the two-arm grid: per-cell tensor
-    products of the arms' which-way cells (arm 1 as the slow factor)."""
-    a, b = (_whichway_cells(arm.theta, arm.theta_prime, arm.gamma) for arm in (arm1, arm2))
+def _two_arm_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(2, 2, 2, 2, 4, 4) cells of the two-arm grid: per-cell tensor products
+    of two arms' (2, 2, 2, 2) which-way cells, arm 1 (`a`) as the slow factor.
+    A product of two POVMs is a POVM, so valid arms give a valid grid."""
     # cell (c1, c2) holds a[c1, i, j] * b[c2, k, l] at row 2i + k, column 2j + l: np.kron's layout
     kron = a.reshape(4, 1, 2, 1, 2, 1) * b.reshape(1, 4, 1, 2, 1, 2)
     return kron.reshape(2, 2, 2, 2, 4, 4)
 
 
 def eprbell_povm(c: EprBellConfig) -> QuadrivariatePovm:
-    """16-outcome grid of the two-arm experiment, validated once as a whole."""
-    return QuadrivariatePovm(_two_arm_cells(c.arm1, c.arm2))
+    """16-outcome grid of the two-arm experiment: the product of the arms'
+    validated which-way grids, a POVM by construction and not checked again."""
+    a, b = (whichway_povm(arm).grid for arm in (c.arm1, c.arm2))
+    return QuadrivariatePovm._derived(_two_arm_cells(a, b))
 
 
 def _pair_correlation(probs: np.ndarray, axis_a: int, axis_b: int) -> float:
@@ -225,9 +227,9 @@ def chsh_pasted_aspect(
     gammas = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))  # corner k reads _CHSH_AXES[k]
     correlations = []
     for (gamma1, gamma2), (axis_a, axis_b) in zip(gammas, _CHSH_AXES):
-        arm1 = WhichWayConfig(theta1, theta1_prime, gamma1)
-        arm2 = WhichWayConfig(theta2, theta2_prime, gamma2)
-        probs = _expectations(rho, _two_arm_cells(arm1, arm2))
+        a = _whichway_cells(theta1, theta1_prime, gamma1)
+        b = _whichway_cells(theta2, theta2_prime, gamma2)
+        probs = _expectations(rho, _two_arm_cells(a, b))
         correlations.append(_pair_correlation(probs, axis_a, axis_b))
     return ChshResult(tuple(correlations))
 
@@ -253,7 +255,8 @@ def quadruple_sample_check(
     total-variation distance must fall below 3 sqrt(ln(16)/n); a larger
     distance means the sampler is broken and raises.
     """
-    exact = OutcomeDistribution(_expectations(rho, _two_arm_cells(c.arm1, c.arm2)))
+    a, b = (_whichway_cells(arm.theta, arm.theta_prime, arm.gamma) for arm in (c.arm1, c.arm2))
+    exact = OutcomeDistribution(_expectations(rho, _two_arm_cells(a, b)))
     counts = sample_counts(exact.probabilities, n_samples, seed)
     empirical = OutcomeDistribution(counts / float(n_samples))
     tv = 0.5 * float(np.abs(empirical.probabilities - exact.probabilities).sum())

@@ -142,6 +142,12 @@ def _hermiticity_residual(mat: np.ndarray) -> float:
         return _capped(2.0 * np.abs(half - half.conj().T).max())
 
 
+def _require_dim(dim: int, what: str):
+    """Raise DimensionMismatchError unless 2 <= dim <= 16 (the toolkit's range)."""
+    if not 2 <= dim <= 16:
+        raise DimensionMismatchError(f"{what} dimension {dim} outside 2..16")
+
+
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=np.complex128))
 
@@ -201,8 +207,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     time, runs out before either stop, or when the norm is not finite.
     """
     n = m.dim
-    if not 2 <= n <= 16:
-        raise DimensionMismatchError(f"eigensolver input dimension {n} outside 2..16")
+    _require_dim(n, "eigensolver input")
     a = _require_hermitian(m, tol, "eigensolver input")  # symmetrized before iterating
     eye = np.eye(n, dtype=np.complex128)
     v = eye.copy()

@@ -8,7 +8,9 @@ which-way 2x2 grid (`BivariatePovm`) and the two-photon 2x2x2x2 grid
 effects once as a read-only stack and accepting one as input.  Flattening a
 grid row-major must again give a valid POVM, and `marginal(grid, keep)` sums
 out every axis not kept.
-Validation is eager so invalid effect lists cannot be represented.
+Validation is eager so invalid effect lists cannot be represented; the one
+exception, the private `OutcomeGrid._derived`, wraps only stacks that are a
+POVM by construction (products of validated grids).
 """
 
 import math
@@ -111,12 +113,27 @@ class OutcomeGrid:
         stack = _check_effects(flat, tol)
         if shape is None:
             raise PovmValidationError("grid rows must have uniform length")
-        self.grid = stack.reshape(*shape, *stack.shape[1:])
+        self._label(stack.reshape(*shape, *stack.shape[1:]), axis_labels, label_error)
+
+    def _label(self, grid: np.ndarray, axis_labels, label_error: str):
+        """Keep `grid` and its axis labels, defaulted from its shape."""
+        self.grid = grid
+        shape = self.shape
         if axis_labels is None:
             axis_labels = [("+", "-")[:n] if n <= 2 else range(n) for n in shape]
         self.axis_labels = tuple(tuple(str(x) for x in ax) for ax in axis_labels)
         if tuple(len(ax) for ax in self.axis_labels) != shape:
             raise PovmValidationError(label_error)
+
+    @classmethod
+    def _derived(cls, stack: np.ndarray, axis_labels=None) -> "OutcomeGrid":
+        """Unchecked grid over a (*shape, dim, dim) complex128 stack that is a
+        POVM by construction, e.g. per-cell products of validated grids; the
+        stack is made read-only and labelled as the validated route would."""
+        grid = cls.__new__(cls)
+        stack.flags.writeable = False
+        grid._label(stack, axis_labels, "label lengths must match the grid shape")
+        return grid
 
     @property
     def shape(self) -> tuple:

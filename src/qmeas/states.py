@@ -16,6 +16,7 @@ from .operators import (
     Operator,
     ValidationError,
     _capped,
+    _require_dim,
     _require_hermitian,
     herm_eig,
     identity,
@@ -58,8 +59,7 @@ class DensityOperator:
     def __init__(self, op):
         if not isinstance(op, Operator):
             op = Operator(op)
-        if not 2 <= op.dim <= 16:  # before the eigensolve, as in `herm_eig`
-            raise DimensionMismatchError(f"density operator dimension {op.dim} outside 2..16")
+        _require_dim(op.dim, "density operator")  # before the eigensolve, as in `herm_eig`
         symmetrized = _require_hermitian(op, HERMITICITY_TOL, "density operator")
         try:
             eigenvalues, eigenvectors = np.linalg.eigh(symmetrized)
@@ -114,6 +114,7 @@ def pure_state(v) -> DensityOperator:
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
+    _require_dim(dim, "density operator")  # before 1 / dim and the identity are formed
     return DensityOperator((1.0 / dim) * identity(dim))
 
 
@@ -136,8 +137,7 @@ class Pvm:
             if not isinstance(p, Operator):
                 raise ValidationError(f"projector {k} is not an Operator")
         dim = projectors[0].dim
-        if not 2 <= dim <= 16:  # before any product, as in `herm_eig`
-            raise DimensionMismatchError(f"PVM dimension {dim} outside 2..16")
+        _require_dim(dim, "PVM")  # before any product, as in `herm_eig`
         for k, p in enumerate(projectors):
             if p.dim != dim:
                 raise DimensionMismatchError(f"projector {k} has dimension {p.dim}, expected {dim}")

@@ -1,10 +1,25 @@
-"""Shared random-object generators and model patches for the test suite."""
+"""Shared random-object generators, model patches and the child-process
+environment for the test suite."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 from qmeas import premeasurement
 from qmeas.operators import Operator, exp_hermitian_generator
 from qmeas.states import DensityOperator
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """This environment with `src` first on PYTHONPATH, so that a child
+    interpreter imports this checkout's qmeas even when it is not installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def random_hermitian(rng, dim):

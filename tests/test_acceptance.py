@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from helpers import random_density, random_hermitian, random_unitary
+from helpers import child_env, random_density, random_hermitian, random_unitary
 
 from qmeas.nonideality import check_heisenberg, check_martens, recover_nonideality
 from qmeas.operators import Operator
@@ -191,7 +191,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         config = tmp_path / "sample.json"
         config.write_text(json.dumps(payload), encoding="utf-8")
         cmd = [sys.executable, "-m", "qmeas", "run", "--config", str(config), "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
+        second = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
         assert first.stdout == second.stdout
         assert first.returncode == 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from helpers import halve_induced_effects
+from helpers import child_env, halve_induced_effects
 
 from qmeas import cli, experiments, nonideality, operators, premeasurement
 from qmeas.operators import ValidationError
@@ -230,8 +230,8 @@ def test_main_writes_deterministic_bytes(tmp_path):
 def test_cli_subprocess_determinism(tmp_path):
     config = write_config(tmp_path, dict(SAMPLE, n_samples=5000))
     cmd = [sys.executable, "-m", "qmeas", "run", "--config", str(config)]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
     # pytest's error::RuntimeWarning filter does not reach a child process

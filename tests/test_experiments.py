@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qmeas import povm
 from qmeas.nonideality import martens_bound, row_entropy_measure
-from qmeas.operators import ValidationError
-from qmeas.povm import Povm, distribution, marginal, marginal_pair
+from qmeas.operators import HERMITICITY_TOL, ValidationError
+from qmeas.povm import Povm, QuadrivariatePovm, distribution, marginal, marginal_pair
 from qmeas.states import entangled_pair_state, polarization_projector, polarization_pvm
 from qmeas.experiments import (
     ChshResult,
@@ -26,6 +26,7 @@ from qmeas.experiments import (
     whichway_nonideality_analytic,
     whichway_povm,
 )
+from qmeas.experiments import _two_arm_cells, _whichway_cells
 
 LN2 = math.log(2.0)
 J_HALF = 0.75 * math.log(3.0) - 0.5 * math.log(2.0)
@@ -289,10 +290,50 @@ def _correlation(probs, axis_a, axis_b):
     return float((probs * sa * sb).sum())
 
 
-def test_eprbell_povm_validates_only_the_grid_it_returns(validated_effect_counts):
-    # each arm's which-way grid used to be validated first: 3 checks
+def test_eprbell_povm_validates_its_two_arm_grids_only(validated_effect_counts):
+    # the product of the two validated arm grids is a POVM by construction
     eprbell_povm(_config(0.3, 0.8))
-    assert validated_effect_counts == [16]
+    assert validated_effect_counts == [4, 4]
+
+
+def test_eprbell_povm_makes_no_d4_eigensolve(monkeypatch):
+    dims = []
+    herm_eig = povm.herm_eig
+
+    def counted(m, *args, **kwargs):
+        dims.append(m.dim)
+        return herm_eig(m, *args, **kwargs)
+
+    monkeypatch.setattr(povm, "herm_eig", counted)
+    eprbell_povm(_config(0.3, 0.8))
+    assert dims == [2] * 8  # one positivity solve per which-way effect of each arm
+
+
+_HUGE = math.radians(1e10)
+_GUARD_RNG = np.random.default_rng(29)
+_GUARD_CONFIGS = [
+    _config(*_GUARD_RNG.uniform(0.0, 1.0, 2), tuple(_GUARD_RNG.uniform(-np.pi, np.pi, 4)))
+    for _ in range(6)
+] + [
+    _config(g1, g2, (s * _HUGE, -s * _HUGE, s * _HUGE, s * _HUGE))
+    for g1 in (0.0, 1.0) for g2 in (0.0, 1.0) for s in (1.0, -1.0)
+]
+
+
+@pytest.mark.parametrize("config", _GUARD_CONFIGS)
+def test_eprbell_product_grid_is_the_grid_full_validation_gives(config):
+    # the product of the arms' validated grids is taken unchecked: it must pass the
+    # POVM axioms and equal, byte for byte, the grid validated from the same cells
+    quad = eprbell_povm(config)
+    Povm(quad.grid.reshape(16, 4, 4), tol=HERMITICITY_TOL)
+    assert not quad.grid.flags.writeable
+    arms = (config.arm1, config.arm2)
+    a, b = (_whichway_cells(arm.theta, arm.theta_prime, arm.gamma) for arm in arms)
+    validated = QuadrivariatePovm(_two_arm_cells(a, b))
+    assert np.array_equal(quad.grid, validated.grid)
+    assert quad.grid.dtype == validated.grid.dtype and quad.grid.tobytes() == validated.grid.tobytes()
+    assert quad.axis_labels == validated.axis_labels
+    assert repr(quad) == repr(validated)
 
 
 def test_sample_check_validates_no_grid(validated_effect_counts):

@@ -4,6 +4,8 @@ import importlib
 import subprocess
 import sys
 
+from helpers import child_env
+
 import qmeas
 
 MODULES = (
@@ -22,7 +24,9 @@ def test_root_all_is_the_union_of_the_module_all_lists():
 def test_importing_the_package_does_not_load_the_cli():
     # `import qmeas` is what every run pays before any work; the CLI layer stays out of it.
     code = "import sys, qmeas; print('qmeas.cli' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env()
+    )
     assert out.stdout.strip() == "False"
 
 
@@ -33,7 +37,9 @@ def test_the_cli_imports_nothing_beyond_numpy_and_the_standard_library():
         "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
         "- {m.split('.')[0] for m in before})))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env()
+    )
     added = set(out.stdout.split())
     assert "numpy" in added and "qmeas" in added
     assert added - {"numpy", "qmeas"} - sys.stdlib_module_names == set()

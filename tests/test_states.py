@@ -343,6 +343,13 @@ def test_maximally_mixed():
     assert np.abs(rho.mat - np.eye(4) / 4).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim", [0, -1, 1, 17])
+def test_maximally_mixed_rejects_a_dimension_outside_2_to_16(dim):
+    # checked before 1 / dim and np.eye, which raise other errors for 0 and -1
+    with pytest.raises(DimensionMismatchError, match=rf"density operator dimension {dim} outside 2\.\.16"):
+        maximally_mixed(dim)
+
+
 def test_pauli_y_hermitian():
     assert PAULI_Y.is_hermitian()
 
