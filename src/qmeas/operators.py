@@ -1,9 +1,8 @@
 """Dense complex linear algebra for small Hilbert spaces (dimensions 2..16).
 
-`Operator` is the single carrier type for states, effects, observables and
-unitaries used throughout the toolkit.  Everything is plain numpy on
-complex128 matrices; the Hermitian eigensolver is a cyclic Jacobi iteration,
-which at these dimensions is simple, robust and dependency-free.
+`Operator` is the checked matrix that users pass in; everything inside is
+plain numpy on complex128 arrays.  The Hermitian eigensolver is a cyclic
+Jacobi iteration, which at these dimensions is simple, robust and dependency-free.
 
 Index convention for composite systems: the joint index is
 ``first * dim_second + second`` (row-major over factors), i.e. the first
@@ -56,10 +55,10 @@ class EigensolverError(SolverError):
 
 
 class Operator:
-    """Immutable dense complex square matrix.
+    """Immutable dense complex matrix, checked square and finite.
 
-    The backing array is copied on construction and marked read-only, so
-    instances are safe to share between threads and reuse across results.
+    The entries are copied on construction and marked read-only, so instances
+    are safe to share and reuse.  Arithmetic is numpy's, on `.mat`.
     """
 
     __slots__ = ("_mat",)
@@ -82,48 +81,6 @@ class Operator:
     def dim(self) -> int:
         return self._mat.shape[0]
 
-    def adjoint(self) -> "Operator":
-        """Conjugate transpose."""
-        return Operator(self._mat.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self._mat))
-
-    def is_hermitian(self) -> bool:
-        return _hermiticity_residual(self._mat) <= HERMITICITY_TOL
-
-    def _require_same_dim(self, other: "Operator"):
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dimensions differ: {self.dim} vs {other.dim}")
-
-    def __add__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._require_same_dim(other)
-        return Operator(self._mat + other._mat)
-
-    def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._require_same_dim(other)
-        return Operator(self._mat - other._mat)
-
-    def __neg__(self):
-        return Operator(-self._mat)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, Operator):
-            raise TypeError("use @ for operator products, * is scalar-only")
-        return Operator(self._mat * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._require_same_dim(other)
-        return Operator(self._mat @ other._mat)
-
     def __repr__(self):
         return f"Operator(dim={self.dim})"
 
@@ -143,12 +100,15 @@ def _hermiticity_residual(mat: np.ndarray) -> float:
 
 
 def _require_dim(dim: int, what: str):
-    """Raise DimensionMismatchError unless 2 <= dim <= 16 (the toolkit's range)."""
+    """Raise DimensionMismatchError unless dim is an int, not a bool, in 2..16."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise DimensionMismatchError(f"{what} dimension must be an integer, got {dim!r}")
     if not 2 <= dim <= 16:
         raise DimensionMismatchError(f"{what} dimension {dim} outside 2..16")
 
 
 def identity(dim: int) -> Operator:
+    _require_dim(dim, "identity")
     return Operator(np.eye(dim, dtype=np.complex128))
 
 

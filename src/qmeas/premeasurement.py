@@ -66,7 +66,7 @@ class PremeasurementModel:
                 f"unitary dimension {u.dim} != {dim_object} * {dim_apparatus}"
             )
         with np.errstate(over="ignore", invalid="ignore"):  # U^dagger U may overflow
-            unitarity = _capped(np.abs(u.adjoint().mat @ u.mat - np.eye(u.dim)).max())
+            unitarity = _capped(np.abs(u.mat.conj().T @ u.mat - np.eye(u.dim)).max())
         if unitarity > HERMITICITY_TOL:
             raise ValidationError(f"joint operator is not unitary (residual {unitarity:.3e})")
         if rho_a.dim != dim_apparatus:
@@ -114,7 +114,7 @@ def _joint(rho_o: DensityOperator, model: PremeasurementModel) -> np.ndarray:
         raise DimensionMismatchError(
             f"object state dimension {rho_o.dim} != {model.dim_object}"
         )
-    return model.u.mat @ np.kron(rho_o.mat, model.rho_a.mat) @ model.u.adjoint().mat
+    return model.u.mat @ np.kron(rho_o.mat, model.rho_a.mat) @ model.u.mat.conj().T
 
 
 def evolve_joint(rho_o: DensityOperator, model: PremeasurementModel) -> DensityOperator:
@@ -131,7 +131,7 @@ def _lifted_effects(model: PremeasurementModel):
     object effects M_m they induce; built once per model, as its `_lifted`."""
     eye_o = np.eye(model.dim_object, dtype=np.complex128)
     lifted = np.array([np.kron(eye_o, proj) for proj in model.pointer.stack])
-    heis = model.u.adjoint().mat @ lifted @ model.u.mat
+    heis = model.u.mat.conj().T @ lifted @ model.u.mat
     dims = (model.dim_object, model.dim_apparatus)
     weighted = (np.kron(eye_o, model.rho_a.mat) @ heis).reshape(-1, *dims, *dims)
     effects = np.einsum("mikjk->mij", weighted)  # trace out the apparatus

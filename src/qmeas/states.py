@@ -68,7 +68,7 @@ class DensityOperator:
         if eigenvalues[0] < -HERMITICITY_TOL:
             raise ValidationError(f"density operator has negative eigenvalue {eigenvalues[0]:.3e}")
         with np.errstate(over="ignore"):  # diagonal entries near the float maximum may sum past it
-            tr = op.trace()
+            tr = complex(np.trace(op.mat))
         if abs(tr - 1.0) > HERMITICITY_TOL:
             tr = complex(_capped(tr.real), tr.imag)
             raise ValidationError(f"density operator trace is {tr:.12g}, expected 1")
@@ -115,7 +115,7 @@ def pure_state(v) -> DensityOperator:
 
 def maximally_mixed(dim: int) -> DensityOperator:
     _require_dim(dim, "density operator")  # before 1 / dim and the identity are formed
-    return DensityOperator((1.0 / dim) * identity(dim))
+    return DensityOperator((1.0 / dim) * identity(dim).mat)
 
 
 class Pvm:

@@ -169,7 +169,7 @@ def test_criterion_8_standard_formalism_incompleteness():
         half = whichway_povm(WhichWayConfig(0.0, np.pi / 4, 0.5))
         # gamma E  !=  (gamma E)^2 as an executable assertion
         transmitted = half.effect(0, 1)
-        assert np.abs((transmitted @ transmitted).mat - transmitted.mat).max() > 1e-3
+        assert np.abs(transmitted.mat @ transmitted.mat - transmitted.mat).max() > 1e-3
         assert not is_pvm(half.flatten())
         for gamma in np.linspace(0.0, 1.0, 21):
             whichway_povm(WhichWayConfig(0.0, np.pi / 4, float(gamma))).flatten()

@@ -43,3 +43,8 @@ def test_the_cli_imports_nothing_beyond_numpy_and_the_standard_library():
     added = set(out.stdout.split())
     assert "numpy" in added and "qmeas" in added
     assert added - {"numpy", "qmeas"} - sys.stdlib_module_names == set()
+
+
+def test_operator_is_a_checked_matrix_with_no_arithmetic_of_its_own():
+    # arithmetic is numpy's, on `.mat`
+    assert [name for name in dir(qmeas.Operator) if not name.startswith("_")] == ["dim", "mat"]

@@ -49,13 +49,8 @@ def test_recover_self_relation_is_identity():
         rec = recover_nonideality(p, p)
         assert np.abs(rec.lam - np.eye(2)).max() < 1e-8
         assert rec.residual < 1e-9
-    three = validate_povm(
-        [
-            0.5 * polarization_projector(0.0),
-            0.5 * polarization_projector(np.pi / 4),
-            identity(2) - 0.5 * polarization_projector(0.0) - 0.5 * polarization_projector(np.pi / 4),
-        ]
-    )
+    e, ep = polarization_projector(0.0).mat, polarization_projector(np.pi / 4).mat
+    three = validate_povm(np.array([0.5 * e, 0.5 * ep, np.eye(2) - 0.5 * e - 0.5 * ep]))
     rec = recover_nonideality(three, three)
     assert np.abs(rec.lam - np.eye(3)).max() < 1e-7
     assert rec.residual < 1e-9
@@ -310,7 +305,7 @@ def test_check_heisenberg_keeps_its_bits_at_ordinary_scales():
     for k in range(60):
         dim, scale = 2 + k % 3, 10.0 ** rng.uniform(-3, 3)
         rho = random_density(rng, dim)
-        a, b = scale * random_hermitian(rng, dim), random_hermitian(rng, dim)
+        a, b = Operator(scale * random_hermitian(rng, dim).mat), random_hermitian(rng, dim)
         rep = check_heisenberg(rho, a, b)
         assert (rep.lhs, rep.rhs, rep.slack) == _plain_heisenberg(rho, a, b)
         assert std_dev(rho, a) == math.sqrt(_plain_heisenberg(rho, a, a)[0])
@@ -342,7 +337,8 @@ def test_robertson_sides_stay_finite_where_the_true_values_are():
     rep = check_heisenberg(rho, a, a)
     assert (rep.rhs, rep.satisfied) == (0.0, True)
     # spin-half equality at 1e200: both sides read inf, the slack is still exactly 0
-    rep = check_heisenberg(pure_state([1, 0]), 1e200 * PAULI_X, 1e200 * PAULI_Y)
+    x, y = Operator(1e200 * PAULI_X.mat), Operator(1e200 * PAULI_Y.mat)
+    rep = check_heisenberg(pure_state([1, 0]), x, y)
     assert (rep.lhs, rep.rhs, rep.slack, rep.satisfied) == (math.inf, math.inf, 0.0, True)
 
 
@@ -384,16 +380,22 @@ def test_mismatched_dimensions_are_named():
     assert str(exc.value) == "dimensions differ: state 3, operands 2 and 2"
 
 
+def _wishart_effects(rng, k, dim):
+    """k random effects S^-1/2 X X^H S^-1/2 on dimension dim, for complex Gaussian X
+    and S the sum of the X X^H: a random POVM's (k, dim, dim) stack."""
+    a = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+    a = a @ a.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(a.sum(axis=0))
+    root = (v / np.sqrt(w)) @ v.conj().T  # (sum a)^(-1/2)
+    return root @ a @ root
+
+
 def _exact_smearing(seed, dim):
     """(m, n): a seeded random POVM n and m = lam . n for a random column-stochastic lam,
     so a residual-0 recovery exists."""
     rng = np.random.default_rng(seed)
     k, km = (int(x) for x in rng.integers(2, 5, size=2))
-    a = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
-    a = a @ a.conj().transpose(0, 2, 1)
-    w, v = np.linalg.eigh(a.sum(axis=0))
-    root = (v / np.sqrt(w)) @ v.conj().T  # (sum a)^(-1/2)
-    n = root @ a @ root
+    n = _wishart_effects(rng, k, dim)
     lam = rng.uniform(size=(km, k))
     m = np.einsum("mn,nij->mij", lam / lam.sum(axis=0), n)
     return Povm(0.5 * (m + m.conj().transpose(0, 2, 1))), Povm(n)
@@ -417,3 +419,32 @@ def test_unconverged_recovery_keeps_an_iterate_no_worse_than_the_start(monkeypat
         residuals.append(exc.value.residual)
     start, after_five = residuals
     assert after_five <= start
+
+
+@pytest.mark.parametrize("seed, residual", [(0, 6.561374e-02), (4, 8.275021e-02)])
+def test_rank_deficient_recovery_converges(seed, residual):
+    # 16 effects on d = 2 span at most 4 real dimensions, so the target's Gram
+    # matrix is singular: plain projected gradient ran all 100,000 iterations
+    # and raised RecoveryError with this residual
+    rng = np.random.default_rng(seed)
+    m, n = (Povm(_wishart_effects(rng, 16, 2)) for _ in range(2))
+    assert recover_nonideality(m, n).residual == pytest.approx(residual, rel=1e-6)
+
+
+def test_random_recoveries_converge_well_inside_the_iteration_cap(monkeypatch):
+    # plain projected gradient needed up to ~18,000 iterations on such pairs
+    monkeypatch.setattr(nonideality, "MAX_SOLVER_ITERATIONS", 2_000)
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        dim = int(rng.integers(2, 5))
+        km, kn = (int(k) for k in rng.integers(2, 17, size=2))
+        m, n = Povm(_wishart_effects(rng, km, dim)), Povm(_wishart_effects(rng, kn, dim))
+        recover_nonideality(m, n)
+
+
+def test_recovery_targets_of_one_or_more_than_16_outcomes():
+    # the k x k Gram matrix went through herm_eig's 2..16 Hilbert-space check and raised
+    rec = recover_nonideality(pvm_povm(0.3), Povm(np.array([np.eye(2)])))
+    assert np.array_equal(rec.lam, [[0.5], [0.5]]) and rec.residual == pytest.approx(1.0)
+    n = Povm(_wishart_effects(np.random.default_rng(3), 17, 2))
+    assert recover_nonideality(n, n).residual < 1e-7

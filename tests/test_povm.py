@@ -35,14 +35,14 @@ gammas = st.floats(min_value=0.0, max_value=1.0)
 
 
 def three_effect_whichway(gamma=0.5, theta=0.0, theta_prime=np.pi / 4):
-    e = polarization_projector(theta)
-    ep = polarization_projector(theta_prime)
-    return [gamma * e, (1 - gamma) * ep, identity(2) - gamma * e - (1 - gamma) * ep]
+    e = polarization_projector(theta).mat
+    ep = polarization_projector(theta_prime).mat
+    return np.array([gamma * e, (1 - gamma) * ep, np.eye(2) - gamma * e - (1 - gamma) * ep])
 
 
 def test_validate_projector_pair():
-    e = polarization_projector(0.3)
-    povm = validate_povm([e, identity(2) - e])
+    e = polarization_projector(0.3).mat
+    povm = validate_povm(np.array([e, np.eye(2) - e]))
     assert len(povm) == 2
     assert povm.outcome_labels == ("0", "1")
 
@@ -55,15 +55,15 @@ def test_validate_whichway_three_effects():
 
 def test_validate_reports_positivity_failure_with_index():
     # closure holds but I - 1.2 E dips to eigenvalue -0.2
-    e = polarization_projector(0.0)
+    e = polarization_projector(0.0).mat
     with pytest.raises(PovmValidationError, match="effect 1.*positive"):
-        validate_povm([1.2 * e, identity(2) - 1.2 * e])
+        validate_povm(np.array([1.2 * e, np.eye(2) - 1.2 * e]))
 
 
 def test_validate_reports_closure_failure():
-    e = polarization_projector(0.0)
+    e = polarization_projector(0.0).mat
     with pytest.raises(PovmValidationError, match="closure"):
-        validate_povm([0.5 * e, 0.5 * e])
+        validate_povm(np.array([0.5 * e, 0.5 * e]))
 
 
 def test_validate_reports_dimension_mismatch():
@@ -290,14 +290,15 @@ def test_marginal_rejects_unknown_axes_and_too_many_axes():
 
 def _quad_cells():
     """Nested lists of 16 equal cells forming a valid 2x2x2x2 grid on dimension 4."""
-    return np.array([identity(4) * (1 / 16)] * 16, dtype=object).reshape(2, 2, 2, 2).tolist()
+    cell = Operator(np.eye(4) * (1 / 16))
+    return np.array([cell] * 16, dtype=object).reshape(2, 2, 2, 2).tolist()
 
 
 def test_grids_reject_ragged_cells():
     # the flat cells form a valid POVM; only the nesting is ragged
     e, zero = polarization_projector(0.3), Operator(np.zeros((2, 2)))
     with pytest.raises(PovmValidationError, match="^grid rows must have uniform length$"):
-        BivariatePovm([[e, zero, zero], [identity(2) - e]], ["+", "-"], ["+", "-"])
+        BivariatePovm([[e, zero, zero], [Operator(np.eye(2) - e.mat)]], ["+", "-"], ["+", "-"])
     cells = _quad_cells()
     cells[1][1][1] = cells[1][1][1] + [Operator(np.zeros((4, 4)))]
     with pytest.raises(PovmValidationError, match="uniform"):
@@ -306,7 +307,7 @@ def test_grids_reject_ragged_cells():
 
 def test_grids_reject_label_length_mismatch():
     e, zero = polarization_projector(0.3), Operator(np.zeros((2, 2)))
-    cells = [[e, zero], [zero, identity(2) - e]]
+    cells = [[e, zero], [zero, Operator(np.eye(2) - e.mat)]]
     with pytest.raises(PovmValidationError, match="label"):
         BivariatePovm(cells, ["+", "-", "?"], ["+", "-"])
     quad = _quad_cells()
