@@ -291,7 +291,7 @@ def _build_premeasure(raw: dict) -> SimpleNamespace:
     if pointer.dim != dim_a:
         _fail("pointer", f"dimension {pointer.dim} != dim_apparatus {dim_a}")
     with _operator_errors("rho_apparatus"):
-        rho_a = DensityOperator(Operator(rho_a))
+        rho_a = DensityOperator(rho_a)
     with _operator_errors("unitary"):
         if "unitary" in raw:
             unitary = Operator(_matrix(raw["unitary"], "unitary"))
@@ -306,7 +306,7 @@ def _build_premeasure(raw: dict) -> SimpleNamespace:
     if rho_o is None:
         return SimpleNamespace(model=model, rho_object=maximally_mixed(dim_o))
     with _operator_errors("rho_object"):
-        return SimpleNamespace(model=model, rho_object=DensityOperator(Operator(rho_o)))
+        return SimpleNamespace(model=model, rho_object=DensityOperator(rho_o))
 
 
 def _run_premeasure(p, tol) -> list:

@@ -82,7 +82,7 @@ class Operator:
         return self._mat.shape[0]
 
     def __repr__(self):
-        return f"Operator(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 def _capped(r: float) -> float:
@@ -105,6 +105,12 @@ def _require_dim(dim: int, what: str):
         raise DimensionMismatchError(f"{what} dimension must be an integer, got {dim!r}")
     if not 2 <= dim <= 16:
         raise DimensionMismatchError(f"{what} dimension {dim} outside 2..16")
+
+
+def _require_tol(tol: float):
+    """Raise ValidationError unless 0 <= tol < inf (NaN or inf passes every residual)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError("tol must be finite and >= 0")
 
 
 def identity(dim: int) -> Operator:
@@ -162,10 +168,12 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     arithmetic every rotation lowers it, so that second stop fires only at
     the rounding floor, which lies above 1e-12 once entries reach ~1e4
     (Demmel & Veselic, 1992).  Pairs whose entry is zero or subnormal are
-    skipped.  Raises DimensionMismatchError outside dimensions 2..16, before
-    any sweep, and EigensolverError when `_JACOBI_MAX_SWEEPS`, read at call
-    time, runs out before either stop, or when the norm is not finite.
+    skipped.  Raises ValidationError for a tol that is not finite and >= 0
+    and DimensionMismatchError outside dimensions 2..16, both before any
+    sweep, and EigensolverError when `_JACOBI_MAX_SWEEPS`, read at call time,
+    runs out before either stop, or when the norm is not finite.
     """
+    _require_tol(tol)
     n = m.dim
     _require_dim(n, "eigensolver input")
     a = _require_hermitian(m, tol, "eigensolver input")  # symmetrized before iterating

@@ -24,6 +24,7 @@ from .operators import (
     ValidationError,
     _capped,
     _hermiticity_residual,
+    _require_tol,
     herm_eig,
 )
 from .states import DensityOperator, Pvm, _expectations
@@ -164,6 +165,7 @@ class Povm(OutcomeGrid):
     AXES = ("outcome",)
 
     def __init__(self, effects, outcome_labels=None, tol: float = HERMITICITY_TOL):
+        _require_tol(tol)
         if not isinstance(effects, np.ndarray):
             effects = tuple(effects)
         labels = range(len(effects)) if outcome_labels is None else outcome_labels
@@ -237,11 +239,11 @@ def marginal(grid: OutcomeGrid, keep):
     or an ordered pair of distinct axes, giving a BivariatePovm whose rows
     are the first axis of the pair.
     """
-    keep = (keep,) if isinstance(keep, (str, int, np.integer)) else tuple(keep)
+    keep = (keep,) if isinstance(keep, (str, int, float, np.number)) else tuple(keep)
     axes = []
     for a in keep:
         k = grid.AXES.index(a) if a in grid.AXES else a
-        if not isinstance(k, (int, np.integer)) or not 0 <= k < len(grid.AXES):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < len(grid.AXES):
             raise ValidationError(f"unknown axis {a!r}, expected one of {grid.AXES} or an index")
         axes.append(int(k))
     repeats = [a for i, a in enumerate(keep) if axes[i] in axes[:i]]

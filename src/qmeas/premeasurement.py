@@ -130,7 +130,7 @@ def _lifted_effects(model: PremeasurementModel):
     """Read-only stacks of the lifted pointer projectors I x E_m and of the
     object effects M_m they induce; built once per model, as its `_lifted`."""
     eye_o = np.eye(model.dim_object, dtype=np.complex128)
-    lifted = np.array([np.kron(eye_o, proj) for proj in model.pointer.stack])
+    lifted = np.kron(eye_o, model.pointer.stack)  # batched over the pointer's leading axis
     heis = model.u.mat.conj().T @ lifted @ model.u.mat
     dims = (model.dim_object, model.dim_apparatus)
     weighted = (np.kron(eye_o, model.rho_a.mat) @ heis).reshape(-1, *dims, *dims)

@@ -19,7 +19,6 @@ from .operators import (
     _require_dim,
     _require_hermitian,
     herm_eig,
-    identity,
 )
 
 __all__ = [
@@ -45,8 +44,9 @@ PAULI_Y = Operator([[0, -1j], [1j, 0]])
 PAULI_Z = Operator([[1, 0], [0, -1]])
 
 
-class DensityOperator:
-    """Positive-semidefinite unit-trace operator representing a preparation.
+class DensityOperator(Operator):
+    """Positive-semidefinite unit-trace operator representing a preparation:
+    an `Operator` built from entries, or from the `.mat` of a given Operator.
 
     Validation is eager: the dimension (2..16), then hermiticity, positivity
     and unit trace, each within HERMITICITY_TOL, are checked on construction.
@@ -54,13 +54,12 @@ class DensityOperator:
     rejection message its eigenvalue and is kept, read-only, as `eig`.
     """
 
-    __slots__ = ("op", "_eig")
+    __slots__ = ("_eig",)
 
-    def __init__(self, op):
-        if not isinstance(op, Operator):
-            op = Operator(op)
-        _require_dim(op.dim, "density operator")  # before the eigensolve, as in `herm_eig`
-        symmetrized = _require_hermitian(op, HERMITICITY_TOL, "density operator")
+    def __init__(self, entries):
+        super().__init__(entries.mat if isinstance(entries, Operator) else entries)
+        _require_dim(self.dim, "density operator")  # before the eigensolve, as in `herm_eig`
+        symmetrized = _require_hermitian(self, HERMITICITY_TOL, "density operator")
         try:
             eigenvalues, eigenvectors = np.linalg.eigh(symmetrized)
         except np.linalg.LinAlgError as exc:
@@ -68,28 +67,16 @@ class DensityOperator:
         if eigenvalues[0] < -HERMITICITY_TOL:
             raise ValidationError(f"density operator has negative eigenvalue {eigenvalues[0]:.3e}")
         with np.errstate(over="ignore"):  # diagonal entries near the float maximum may sum past it
-            tr = complex(np.trace(op.mat))
+            tr = complex(np.trace(self.mat))
         if abs(tr - 1.0) > HERMITICITY_TOL:
             tr = complex(_capped(tr.real), tr.imag)
             raise ValidationError(f"density operator trace is {tr:.12g}, expected 1")
-        self.op = op
         self._eig = HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
     @property
     def eig(self) -> HermitianEig:
         """Spectral data from the constructor's `eigh` (read by `std_dev`)."""
         return self._eig
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    def __repr__(self):
-        return f"DensityOperator(dim={self.dim})"
 
 
 def _binary_scaled(m: np.ndarray):
@@ -110,12 +97,12 @@ def pure_state(v) -> DensityOperator:
     if norm == 0.0 or not np.isfinite(norm):
         raise ValidationError("pure state vector must be nonzero and finite")
     vec = vec / norm
-    return DensityOperator(Operator(np.outer(vec, vec.conj())))
+    return DensityOperator(np.outer(vec, vec.conj()))
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
-    _require_dim(dim, "density operator")  # before 1 / dim and the identity are formed
-    return DensityOperator((1.0 / dim) * identity(dim).mat)
+    _require_dim(dim, "density operator")  # before 1 / dim is formed
+    return DensityOperator(np.eye(dim) / dim)
 
 
 class Pvm:
@@ -183,12 +170,13 @@ class Pvm:
 def spectral_pvm(a: Operator) -> Pvm:
     """Spectral PVM of a Hermitian operator.
 
-    Eigenvalues closer than EIGENVALUE_CLUSTER_TOL are treated as one degenerate
-    outcome; each outcome label is the mean of its cluster.
+    Eigenvalues closer than EIGENVALUE_CLUSTER_TOL times the largest |eigenvalue|
+    are treated as one degenerate outcome, so rescaling `a` rescales the labels
+    and keeps the outcomes; each outcome label is the mean of its cluster.
     """
     eig = herm_eig(a)
     vals, vecs = eig.eigenvalues, eig.eigenvectors
-    cuts = np.flatnonzero(np.diff(vals) > EIGENVALUE_CLUSTER_TOL) + 1
+    cuts = np.flatnonzero(np.diff(vals) > EIGENVALUE_CLUSTER_TOL * np.abs(vals).max()) + 1
     blocks, clusters = np.split(vecs, cuts, axis=1), np.split(vals, cuts)
     return Pvm([Operator(b @ b.conj().T) for b in blocks], [float(c.mean()) for c in clusters])
 

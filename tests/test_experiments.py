@@ -280,7 +280,7 @@ def pure_state_product(rho1, rho2):
     from qmeas.operators import tensor_product
     from qmeas.states import DensityOperator
 
-    return DensityOperator(tensor_product(rho1.op, rho2.op))
+    return DensityOperator(tensor_product(rho1, rho2))
 
 
 def _correlation(probs, axis_a, axis_b):

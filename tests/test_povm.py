@@ -281,7 +281,7 @@ def test_pair_marginal_in_reverse_order_is_the_axis_swap():
 
 def test_marginal_rejects_unknown_axes_and_too_many_axes():
     quad = _example_quad()
-    for keep in ("row", 4, ("m1", "x")):
+    for keep in ("row", 4, ("m1", "x"), True, 1.0):  # a bool is no index; a float is one key
         with pytest.raises(Exception, match="unknown axis"):
             marginal(quad, keep)
     with pytest.raises(Exception, match="pair"):

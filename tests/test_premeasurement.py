@@ -69,7 +69,7 @@ def test_evolve_identity_coupling():
     rho_o = random_density(rng, 2)
     model = PremeasurementModel(pure_state([1, 0]), identity(4), computational_pointer(), 2, 2)
     joint = evolve_joint(rho_o, model)
-    expected = tensor_product(rho_o.op, model.rho_a.op)
+    expected = tensor_product(rho_o, model.rho_a)
     assert np.abs(joint.mat - expected.mat).max() < 1e-12
 
 
@@ -88,7 +88,7 @@ def test_evolve_swap():
     rho_o, rho_a = random_density(rng, 2), random_density(rng, 2)
     model = PremeasurementModel(rho_a, SWAP, computational_pointer(), 2, 2)
     joint = evolve_joint(rho_o, model)
-    expected = tensor_product(rho_a.op, rho_o.op)
+    expected = tensor_product(rho_a, rho_o)
     assert np.abs(joint.mat - expected.mat).max() < 1e-12
 
 
@@ -251,6 +251,21 @@ def test_lifted_stacks_are_read_only():
             stack[0, 0, 0] = 1.0
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 8), (8, 2), (4, 4)])
+def test_lifted_stack_equals_the_per_projector_kron(dims):
+    rng = np.random.default_rng([11, *dims])
+    dim_o, dim_a = dims
+    eye = np.eye(dim_o, dtype=np.complex128)
+    for _ in range(5):
+        pointer = spectral_pvm(random_hermitian(rng, dim_a))
+        model = PremeasurementModel(
+            random_density(rng, dim_a), random_unitary(rng, dim_o * dim_a), pointer, *dims
+        )
+        loop = np.array([np.kron(eye, proj) for proj in model.pointer.stack])
+        lifted = model._lifted[0]
+        assert lifted.strides == loop.strides and lifted.tobytes() == loop.tobytes()
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 4)])
 def test_induced_effects_equal_the_operator_chain_bit_for_bit(dims):
     # reference: the per-outcome chain on `.mat`, through tensor_product and partial_trace_second
@@ -258,7 +273,7 @@ def test_induced_effects_equal_the_operator_chain_bit_for_bit(dims):
     for _ in range(3):
         model = hamiltonian_model(rng, *dims)
         eye = identity(dims[0])
-        weight = tensor_product(eye, model.rho_a.op).mat
+        weight = tensor_product(eye, model.rho_a).mat
         u = model.u.mat
         reference = [
             partial_trace_second(

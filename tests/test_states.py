@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import partial_trace_first, random_density, random_hermitian
+from helpers import partial_trace_first, random_density, random_hermitian, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from qmeas.operators import (
     DimensionMismatchError,
     Operator,
     ValidationError,
+    identity,
     partial_trace_second,
 )
 from qmeas.states import (
@@ -67,6 +68,24 @@ def test_density_operator_validation():
         DensityOperator(Operator(np.diag([1.5, -0.5])))  # negative eigenvalue
     with pytest.raises(ValidationError):
         DensityOperator(Operator([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+
+
+def test_a_density_operator_is_a_checked_operator():
+    rho = random_density(np.random.default_rng(5), 4)
+    assert isinstance(rho, Operator)
+    assert not {"op", "mat", "dim", "__repr__"} & set(vars(DensityOperator))
+    assert repr(rho) == "DensityOperator(dim=4)"
+    assert not rho.mat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[0, 0] = 1.0
+
+
+def test_a_density_operator_of_a_state_keeps_its_bytes():
+    rho = random_density(np.random.default_rng(5), 4)
+    again = DensityOperator(rho)
+    assert type(again) is DensityOperator
+    assert again.mat.tobytes() == rho.mat.tobytes()
+    assert again.eig.eigenvalues.tobytes() == rho.eig.eigenvalues.tobytes()
 
 
 def _refuse_herm_eig(monkeypatch):
@@ -144,6 +163,24 @@ def test_spectral_pvm_pauli_x():
     minus = np.array([1, -1]) / np.sqrt(2)
     assert np.abs(pvm.projectors[1].mat - np.outer(plus, plus)).max() < 1e-10
     assert np.abs(pvm.projectors[0].mat - np.outer(minus, minus)).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4, 1e8, 1e12])
+def test_spectral_pvm_outcomes_do_not_change_with_the_scale_of_the_observable(seed, scale):
+    # the degenerate pair of diag(1, 1, 2, 3) is one outcome at every scale
+    q = random_unitary(np.random.default_rng(seed), 4).mat
+    m = q @ np.diag([1.0, 1.0, 2.0, 3.0]) @ q.conj().T
+    h = scale * (0.5 * (m + m.conj().T))  # exactly Hermitian at every scale
+    pvm = spectral_pvm(Operator(h))
+    assert len(pvm) == 3
+    np.testing.assert_allclose(pvm.labels, scale * np.array([1.0, 2.0, 3.0]), rtol=1e-12, atol=0)
+
+
+def test_spectral_pvm_of_the_zero_matrix_is_one_outcome():
+    pvm = spectral_pvm(Operator(np.zeros((3, 3))))
+    assert pvm.labels == (0.0,)
+    assert np.array_equal(pvm.stack[0], np.eye(3))
 
 
 def test_spectral_reconstruction():
@@ -315,7 +352,7 @@ def test_polarization_pvm_valid():
 
 def test_entangled_pair_reduced_states_are_mixed():
     rho = entangled_pair_state()
-    for reduced in (partial_trace_second(rho.op, 2, 2), partial_trace_first(rho.op, 2, 2)):
+    for reduced in (partial_trace_second(rho, 2, 2), partial_trace_first(rho, 2, 2)):
         assert np.abs(reduced.mat - 0.5 * np.eye(2)).max() < 1e-12
 
 
@@ -341,6 +378,11 @@ def test_entangled_pair_joint_detection():
 def test_maximally_mixed():
     rho = maximally_mixed(4)
     assert np.abs(rho.mat - np.eye(4) / 4).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_maximally_mixed_keeps_the_bits_of_the_scaled_identity(dim):
+    assert maximally_mixed(dim).mat.tobytes() == ((1.0 / dim) * identity(dim).mat).tobytes()
 
 
 @pytest.mark.parametrize("dim", [0, -1, 1, 17])

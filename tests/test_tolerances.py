@@ -6,9 +6,15 @@ reason given; a new `tol` or `max_iter` parameter anywhere else fails here.
 
 import importlib
 import inspect
+import math
 import pkgutil
 
+import numpy as np
+import pytest
+
 import qmeas
+from qmeas.operators import Operator, ValidationError, herm_eig
+from qmeas.povm import Povm, validate_povm
 
 KEPT = {
     "operators.herm_eig": "POVM validation passes 1e-9, or 1e-8 for induced POVMs",
@@ -54,3 +60,25 @@ def test_only_the_kept_callables_take_a_tolerance_or_iteration_cap():
     assert "cli.run" in walked and "nonideality.check_martens" in walked
     assert "povm.OutcomeGrid" in walked and "states.DensityOperator" in walked
     assert {name for name, fn in walked.items() if _has_knob(fn)} == set(KEPT)
+
+
+# Each kept tolerance that residuals are compared with, called on a valid input.
+# Not here: `InequalityReport.tol` is a record field, and `cli.run` checks --tol itself.
+TOL_CALLS = {
+    "operators.herm_eig": lambda tol: herm_eig(Operator(np.eye(2)), tol=tol),
+    "povm.Povm": lambda tol: Povm([Operator(np.eye(2))], tol=tol),
+    "povm.validate_povm": lambda tol: validate_povm([Operator(np.eye(2))], tol=tol),
+}
+
+
+def test_every_compared_tolerance_is_checked_below():
+    assert set(TOL_CALLS) == set(KEPT) - {"nonideality.InequalityReport", "cli.run"}
+
+
+@pytest.mark.parametrize("name", sorted(TOL_CALLS))
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_a_tolerance_must_be_finite_and_nonnegative(name, tol):
+    # a NaN or infinite tol passes every residual; a negative one fails even 0.0
+    TOL_CALLS[name](0.0)
+    with pytest.raises(ValidationError, match=r"^tol must be finite and >= 0$"):
+        TOL_CALLS[name](tol)
