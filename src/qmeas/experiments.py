@@ -23,11 +23,11 @@ import numpy as np
 
 from .nonideality import _recover, _target_data, joint_nonideal_decomposition
 from .nonideality import martens_bound, row_entropy_measure
-from .operators import ValidationError
+from .operators import ValidationError, _require_int
 from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
-from .povm import BivariatePovm, OutcomeDistribution, QuadrivariatePovm, distribution
+from .povm import BivariatePovm, OutcomeDistribution, QuadrivariatePovm, _expectations, distribution
 from .sampling import sample_counts
-from .states import DensityOperator, _expectations, polarization_projector, polarization_pvm
+from .states import DensityOperator, polarization_projector, polarization_pvm
 
 __all__ = [
     "ChshResult",
@@ -155,6 +155,7 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
     """Entropy pair (J_lam, J_mu) of the which-way experiment on a uniform
     gamma grid, with the overlap bound and the slack of J_lam + J_mu.  The
     two targets do not depend on gamma, so their recovery data is built once."""
+    _require_int(n_points, "n_points")
     if n_points < 2:
         raise ValidationError(f"n_points must be >= 2, got {n_points}")
     pvms = polarization_pvm(theta), polarization_pvm(theta_prime)

@@ -99,10 +99,15 @@ def _hermiticity_residual(mat: np.ndarray) -> float:
         return _capped(2.0 * np.abs(half - half.conj().T).max())
 
 
+def _require_int(n, what: str, error=ValidationError):
+    """Raise `error` unless n is an int or numpy integer that is not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {n!r}")
+
+
 def _require_dim(dim: int, what: str):
-    """Raise DimensionMismatchError unless dim is an int, not a bool, in 2..16."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise DimensionMismatchError(f"{what} dimension must be an integer, got {dim!r}")
+    """Raise DimensionMismatchError unless dim is an integer in 2..16."""
+    _require_int(dim, f"{what} dimension", DimensionMismatchError)
     if not 2 <= dim <= 16:
         raise DimensionMismatchError(f"{what} dimension {dim} outside 2..16")
 
@@ -125,6 +130,8 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
 
 def partial_trace_second(m: Operator, dim_first: int, dim_second: int) -> Operator:
     """Trace out the second tensor factor: result[i,j] = sum_k m[i*d2+k, j*d2+k]."""
+    _require_int(dim_first, "dim_first", DimensionMismatchError)
+    _require_int(dim_second, "dim_second", DimensionMismatchError)
     if dim_first * dim_second != m.dim:
         raise DimensionMismatchError(
             f"cannot split dimension {m.dim} as {dim_first} x {dim_second}"

@@ -27,7 +27,6 @@ from .operators import (
     _require_tol,
     herm_eig,
 )
-from .states import DensityOperator, Pvm, _expectations
 
 __all__ = [
     "BivariatePovm",
@@ -172,8 +171,8 @@ class Povm(OutcomeGrid):
         self._build(effects, (labels,), tol, "outcome_labels length must match effects")
 
     @classmethod
-    def from_pvm(cls, pvm: Pvm) -> "Povm":
-        return cls(pvm.stack, [f"{lab:g}" for lab in pvm.labels])
+    def from_pvm(cls, pvm: "Povm") -> "Povm":
+        return Povm(pvm.grid, pvm.outcome_labels)  # not `cls`: `Pvm` inherits this
 
     @property
     def effects(self) -> tuple:
@@ -187,7 +186,7 @@ class Povm(OutcomeGrid):
         return len(self.grid)
 
     def __repr__(self):
-        return f"Povm(dim={self.dim}, outcomes={len(self)})"
+        return f"{type(self).__name__}(dim={self.dim}, outcomes={len(self)})"
 
 
 def validate_povm(effects, outcome_labels=None, tol: float = HERMITICITY_TOL) -> Povm:
@@ -297,7 +296,22 @@ class OutcomeDistribution:
         return f"OutcomeDistribution(shape={self.shape})"
 
 
-def distribution(rho: DensityOperator, p) -> OutcomeDistribution:
-    """Outcome probabilities Tr(rho E) for a Povm or any other outcome grid,
-    shaped like the grid: flat for a Povm."""
+def _expectations(rho: Operator, stack: np.ndarray, e: int = 0) -> np.ndarray:
+    """The Born rule: Tr(rho X) for every X of a (..., d, d) stack, shaped
+    like the stack's leading axes; each imaginary residue, times 2^e for a
+    stack scaled by 2^-e, must stay below HERMITICITY_TOL."""
+    if rho.dim != stack.shape[-1]:
+        raise DimensionMismatchError(f"state dim {rho.dim} vs operator dim {stack.shape[-1]}")
+    vals = np.trace(rho.mat @ stack, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):  # a residue beyond the float range reads as inf
+        residues = np.ldexp(vals.imag, e)
+    bad = np.flatnonzero(np.abs(residues) >= HERMITICITY_TOL)
+    if bad.size:
+        raise ValidationError(f"expectation has imaginary residue {residues.flat[bad[0]]:.3e}")
+    return vals.real
+
+
+def distribution(rho: Operator, p) -> OutcomeDistribution:
+    """Outcome probabilities Tr(rho E) of a density operator for a Povm (a
+    Pvm included) or any other outcome grid, shaped like the grid: flat for a Povm."""
     return OutcomeDistribution(_expectations(rho, p.grid))

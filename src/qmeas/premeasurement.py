@@ -18,6 +18,7 @@ from .operators import (
     Operator,
     ValidationError,
     _capped,
+    _require_int,
     exp_hermitian_generator,
 )
 from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
@@ -57,6 +58,8 @@ class PremeasurementModel:
         dim_object: int,
         dim_apparatus: int,
     ):
+        _require_int(dim_object, "dim_object", DimensionMismatchError)
+        _require_int(dim_apparatus, "dim_apparatus", DimensionMismatchError)
         if dim_object < 2 or dim_apparatus < 2:
             raise ValidationError(f"dimensions must be >= 2, got {dim_object}, {dim_apparatus}")
         if dim_object * dim_apparatus > MAX_JOINT_DIM:
@@ -69,14 +72,9 @@ class PremeasurementModel:
             unitarity = _capped(np.abs(u.mat.conj().T @ u.mat - np.eye(u.dim)).max())
         if unitarity > HERMITICITY_TOL:
             raise ValidationError(f"joint operator is not unitary (residual {unitarity:.3e})")
-        if rho_a.dim != dim_apparatus:
-            raise DimensionMismatchError(
-                f"apparatus state dimension {rho_a.dim} != {dim_apparatus}"
-            )
-        if pointer.dim != dim_apparatus:
-            raise DimensionMismatchError(
-                f"pointer PVM dimension {pointer.dim} != {dim_apparatus}"
-            )
+        for what, dim in (("apparatus state", rho_a.dim), ("pointer PVM", pointer.dim)):
+            if dim != dim_apparatus:
+                raise DimensionMismatchError(f"{what} dimension {dim} != {dim_apparatus}")
         self.rho_a = rho_a
         self.u = u
         self.pointer = pointer
@@ -147,9 +145,8 @@ def induced_povm(model: PremeasurementModel) -> Povm:
     Heisenberg-evolved pointer projector, so that
     Tr(rho_o M_m) reproduces the pointer statistics for every object state.
     """
-    labels = [f"{lab:g}" for lab in model.pointer.labels]
     try:
-        return validate_povm(model._lifted[1], labels, tol=INDUCED_POVM_TOL)
+        return validate_povm(model._lifted[1], model.pointer.outcome_labels, tol=INDUCED_POVM_TOL)
     except PovmValidationError as exc:
         raise ModelInconsistencyError(f"induced effects violate POVM axioms: {exc}") from exc
 

@@ -21,7 +21,7 @@ O(n_samples).
 
 import numpy as np
 
-from .operators import ValidationError
+from .operators import ValidationError, _require_int
 from .povm import OutcomeDistribution
 
 __all__ = ["Lcg64", "sample_counts"]
@@ -39,6 +39,7 @@ class Lcg64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        _require_int(seed, "seed")
         self.state = int(seed) & _MASK64
 
     def next_uint64(self) -> int:
@@ -70,14 +71,15 @@ def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
     entries are clamped to zero for the cumulative only.
     """
     probs = OutcomeDistribution(probabilities).probabilities
+    _require_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    state = np.array([Lcg64(seed).state], dtype=np.uint64)  # the seed, checked and masked
     flat = np.clip(probs.reshape(-1), 0.0, None)
     thresholds = np.ceil(np.cumsum(flat) * 2.0**53).astype(np.uint64)
     top = len(flat) - 1
     mult, incr = _jump_table(min(n_samples, _BLOCK))
     counts = np.zeros(len(flat), dtype=np.intp)
-    state = np.array([int(seed) & _MASK64], dtype=np.uint64)
     for start in range(0, n_samples, _BLOCK):
         size = min(_BLOCK, n_samples - start)
         states = mult[:size] * state

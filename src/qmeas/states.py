@@ -20,6 +20,7 @@ from .operators import (
     _require_hermitian,
     herm_eig,
 )
+from .povm import Povm, _expectations
 
 __all__ = [
     "DensityOperator",
@@ -105,13 +106,13 @@ def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator(np.eye(dim) / dim)
 
 
-class Pvm:
-    """Projection-valued measure: orthogonal idempotent projectors summing to
-    identity, each carrying a real eigenvalue label.  The checked `Operator`s
-    (dimension d in 2..16, at most d of them) are kept as the read-only
-    (k, d, d) `stack`."""
+class Pvm(Povm):
+    """Projection-valued measure: a `Povm` whose effects are orthogonal projectors
+    summing to identity, kept read-only as the (k, d, d) `grid` (d in 2..16, k <= d).
+    `labels` are their real eigenvalues and `outcome_labels` those as `:g` strings.
+    Checked here in full, so `Povm.__init__` does not check the POVM axioms again."""
 
-    __slots__ = ("stack", "labels")
+    __slots__ = ("labels",)
 
     def __init__(self, projectors, labels):
         projectors = tuple(projectors)
@@ -149,22 +150,12 @@ class Pvm:
         if closure > HERMITICITY_TOL:
             raise ValidationError(f"projectors do not sum to identity (residual {closure:.3e})")
         stack.flags.writeable = False
-        self.stack = stack
+        outcome_labels = [f"{lab:g}" for lab in labels]
+        self._label(stack, (outcome_labels,), "labels and projectors must have matching length")
         self.labels = labels
 
-    @property
-    def projectors(self) -> tuple:
-        return tuple(Operator(p) for p in self.stack)
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[-1]
-
-    def __len__(self):
-        return len(self.stack)
-
-    def __repr__(self):
-        return f"Pvm(dim={self.dim}, outcomes={len(self)})"
+    stack = Povm.grid  # aliases of the grid and its effects
+    projectors = Povm.effects
 
 
 def spectral_pvm(a: Operator) -> Pvm:
@@ -175,25 +166,11 @@ def spectral_pvm(a: Operator) -> Pvm:
     and keeps the outcomes; each outcome label is the mean of its cluster.
     """
     eig = herm_eig(a)
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
-    cuts = np.flatnonzero(np.diff(vals) > EIGENVALUE_CLUSTER_TOL * np.abs(vals).max()) + 1
-    blocks, clusters = np.split(vecs, cuts, axis=1), np.split(vals, cuts)
-    return Pvm([Operator(b @ b.conj().T) for b in blocks], [float(c.mean()) for c in clusters])
-
-
-def _expectations(rho: DensityOperator, stack: np.ndarray, e: int = 0) -> np.ndarray:
-    """Tr(rho X) for every X of a (..., d, d) stack, shaped like the stack's
-    leading axes; each imaginary residue, times 2^e for a stack scaled by
-    2^-e, must stay below HERMITICITY_TOL."""
-    if rho.dim != stack.shape[-1]:
-        raise DimensionMismatchError(f"state dim {rho.dim} vs operator dim {stack.shape[-1]}")
-    vals = np.trace(rho.mat @ stack, axis1=-2, axis2=-1)
-    with np.errstate(over="ignore"):  # a residue beyond the float range reads as inf
-        residues = np.ldexp(vals.imag, e)
-    bad = np.flatnonzero(np.abs(residues) >= HERMITICITY_TOL)
-    if bad.size:
-        raise ValidationError(f"expectation has imaginary residue {residues.flat[bad[0]]:.3e}")
-    return vals.real
+    # halved, exactly for normal floats, so that no difference or cluster sum overflows
+    half, vecs = 0.5 * eig.eigenvalues, eig.eigenvectors
+    cuts = np.flatnonzero(np.diff(half) > EIGENVALUE_CLUSTER_TOL * np.abs(half).max()) + 1
+    blocks, clusters = np.split(vecs, cuts, axis=1), np.split(half, cuts)
+    return Pvm([Operator(b @ b.conj().T) for b in blocks], [2.0 * float(c.mean()) for c in clusters])
 
 
 def expectation(rho: DensityOperator, m: Operator) -> float:

@@ -112,6 +112,13 @@ def test_martens_sweep_default_angles():
     assert all(abs(p.bound - LN2) < 1e-12 for p in points)
 
 
+@pytest.mark.parametrize("n_points", [3.0, True, "3"])
+def test_martens_sweep_requires_an_integer_point_count(n_points):
+    # 3.0 reached numpy's linspace and raised its TypeError
+    with pytest.raises(ValidationError, match="^n_points must be an integer, got "):
+        martens_sweep(0.0, 1.0, n_points)
+
+
 def test_martens_sweep_pi_sixth():
     points = martens_sweep(0.0, np.pi / 6, 25)
     bound = -math.log(math.cos(np.pi / 6) ** 2)

@@ -110,3 +110,58 @@ def test_the_pin_check_flags_only_marks_no_alias_pins():
 def test_every_marked_unused_import_is_a_binding_the_bench_pins(path):
     source = path.read_text(encoding="utf-8")
     assert unpinned_marks(path.stem, source, _bench_aliases()) == []
+
+
+def _top_level_names(source: str) -> set:
+    """Names a module defines at its top level: functions, classes and
+    assignment targets (imported names excluded)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def borrowed_private_imports(source: str, sources: dict) -> list:
+    """(line, name, module) of every `from .module import _name` whose module,
+    a key of `sources` (`__init__` for the package itself), does not define
+    `_name` at its top level but only passes on an import of it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        home = node.module or "__init__"
+        defined = _top_level_names(sources[home])
+        found += [
+            (alias.lineno, alias.name, home)
+            for alias in node.names
+            if alias.name.startswith("_") and alias.name not in defined
+        ]
+    return found
+
+
+def test_the_private_import_check_flags_only_names_their_module_does_not_define():
+    sources = {
+        "a": "import math\ndef _f():\n    pass\n_X: int = 1\nclass _C:\n    pass\n",
+        "b": "from .a import _f\n_Y = _Z = 2\n",
+        "__init__": "__version__ = '1'\n",
+    }
+    source = (
+        "from .a import _f, _X, _C, math\n"
+        "from .b import (\n"
+        "    _f,\n"
+        "    _Z,\n"
+        ")\n"
+        "from .a import _W\n"
+        "from . import __version__\n"
+    )
+    assert borrowed_private_imports(source, sources) == [(3, "_f", "b"), (6, "_W", "a")]
+
+
+def test_private_names_are_imported_only_from_the_module_that_defines_them():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    found = {stem: borrowed_private_imports(text, sources) for stem, text in sources.items()}
+    assert {stem: rows for stem, rows in found.items() if rows} == {}

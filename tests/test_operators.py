@@ -81,6 +81,15 @@ def test_partial_trace_dimension_error():
         partial_trace_second(identity(6), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "dims, name", [((2.0, 2.0), "dim_first"), ((2, 2.0), "dim_second"), ((True, 4), "dim_first")]
+)
+def test_partial_trace_requires_integer_dimensions(dims, name):
+    # a float reached numpy's reshape: "'float' object cannot be interpreted as an integer"
+    with pytest.raises(DimensionMismatchError, match=f"^{name} must be an integer, got "):
+        partial_trace_second(identity(4), *dims)
+
+
 def test_herm_eig_diagonal():
     eig = herm_eig(Operator(np.diag([3.0, 1.0])))
     assert np.allclose(eig.eigenvalues, [1.0, 3.0])

@@ -184,6 +184,16 @@ def test_model_rejects_dimensions_outside_2_to_16(dims, message):
         PremeasurementModel(pure_state(np.eye(dim_a)[0]), u, pointer, *dims)
 
 
+@pytest.mark.parametrize(
+    "dims, name", [((2.0, 2), "dim_object"), ((2, np.float64(2)), "dim_apparatus"),
+                   ((True, 2), "dim_object")],
+)
+def test_model_requires_integer_dimensions(dims, name):
+    # a float reached numpy's eye: "'float' object cannot be interpreted as an integer"
+    with pytest.raises(DimensionMismatchError, match=f"^{name} must be an integer, got "):
+        PremeasurementModel(pure_state([1, 0]), Operator(np.eye(4)), computational_pointer(), *dims)
+
+
 def hamiltonian_model(rng, dim_o, dim_a):
     pointer = Pvm([Operator(np.diag(np.eye(dim_a)[k])) for k in range(dim_a)], range(dim_a))
     return PremeasurementModel.from_generator(

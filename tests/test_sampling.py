@@ -73,6 +73,30 @@ def test_sample_counts_requires_positive_n():
         sample_counts(np.array([1.0]), 0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "n_samples, seed, name",
+    [(10.0, 1, "n_samples"), (True, 1, "n_samples"), (4, 1.5, "seed"), (4, "7", "seed"),
+     (4, True, "seed")],
+)
+def test_sample_counts_requires_integer_counts_and_seeds(n_samples, seed, name):
+    # floats and bools raised numpy's TypeError or ran with seed 1; "7" ran with seed 7
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        sample_counts(np.array([0.5, 0.5]), n_samples, seed)
+
+
+def test_sample_counts_takes_numpy_integers():
+    probs = np.array([0.25, 0.75])
+    expected = sample_counts(probs, 500, 2**64 - 1).tolist()
+    assert sample_counts(probs, np.int32(500), np.uint64(2**64 - 1)).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7", None])
+def test_lcg_requires_an_integer_seed(seed):
+    # 1.5 and True ran as seed 1
+    with pytest.raises(ValidationError, match="^seed must be an integer, got "):
+        Lcg64(seed)
+
+
 # 16-outcome grids with exact zeros and negative round-off entries.
 GRIDS = [
     np.array([0.1, 0.0, 0.05, -1e-17, 0.2, 0.15, 0.0, 0.1,

@@ -183,6 +183,15 @@ def test_spectral_pvm_of_the_zero_matrix_is_one_outcome():
     assert np.array_equal(pvm.stack[0], np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "diagonal, labels",
+    [([1.7e308, -1.7e308], (-1.7e308, 1.7e308)), ([1.7e308, 1.7e308, -1.0], (-1.0, 1.7e308))],
+)
+def test_spectral_pvm_labels_eigenvalues_near_the_float_maximum(diagonal, labels):
+    # the eigenvalue differences and the cluster sum overflowed: a RuntimeWarning, and a label inf
+    assert spectral_pvm(Operator(np.diag(diagonal))).labels == labels
+
+
 def test_spectral_reconstruction():
     rng = np.random.default_rng(23)
     for dim in (2, 3, 4):
