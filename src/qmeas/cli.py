@@ -418,8 +418,15 @@ def emit(table: ResultTable, fmt: str, path=None):
         raise OSError(f"cannot write output to {path}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a config error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qmeas", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qmeas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run_cmd = sub.add_parser("run", help="execute an experiment config")
     run_cmd.add_argument("--config", required=True, help="path to a JSON config")
@@ -434,13 +441,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         config = parse_config(text)
         if args.command == "validate":
             sys.stdout.write(f"ok: {config.kind}\n")

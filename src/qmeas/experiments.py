@@ -160,7 +160,7 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
         raise ValidationError(f"n_points must be >= 2, got {n_points}")
     pvms = polarization_pvm(theta), polarization_pvm(theta_prime)
     bound = martens_bound(*pvms)
-    targets = [_target_data(p.stack) for p in pvms]
+    targets = [_target_data(p.grid) for p in pvms]
     points = []
     for gamma in np.linspace(0.0, 1.0, n_points):
         cells = _whichway_cells(theta, theta_prime, float(gamma))

@@ -28,7 +28,7 @@ from .operators import (
     _require_hermitian,
     herm_eig,
 )
-from .povm import BivariatePovm, Povm, marginal
+from .povm import BivariatePovm, OutcomeGrid, Povm, marginal
 from .states import DensityOperator, Pvm, _scaled_std_dev
 
 __all__ = [
@@ -94,10 +94,6 @@ class NonidealityMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "lam", arr)
 
-    @property
-    def shape(self) -> tuple:
-        return self.lam.shape
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -142,7 +138,12 @@ def recover_nonideality(m: Povm, n: Povm) -> NonidealityMatrix:
     certifies that m really is a nonideal version of n; when the Gram matrix
     is singular lam is not unique, and the one returned is this solver's.
     The private core `_recover` raises RecoveryError after MAX_SOLVER_ITERATIONS, read at call time.
+    Both arguments must be one-axis POVMs (a Pvm included), or ValidationError.
     """
+    for what, p in (("m", m), ("n", n)):
+        if not isinstance(p, Povm):
+            shape = f" of shape {p.shape}" if isinstance(p, OutcomeGrid) else ""
+            raise ValidationError(f"{what} must be a one-axis POVM, got {type(p).__name__}{shape}")
     if m.dim != n.dim:
         raise DimensionMismatchError(f"POVM dimensions differ: {m.dim} vs {n.dim}")
     return _recover(m.grid, *_target_data(n.grid))
@@ -219,11 +220,14 @@ def joint_nonideal_decomposition(r: BivariatePovm, e: Pvm, f: Pvm):
 
 def martens_bound(e: Pvm, f: Pvm) -> float:
     """State-independent lower bound -ln(max_mn Tr E_m F_n) on J_lam + J_mu
-    for any joint nonideal measurement of the PVMs e and f."""
+    for any joint nonideal measurement of the PVMs e and f; other targets raise ValidationError."""
+    for what, p in (("e", e), ("f", f)):
+        if not isinstance(p, Pvm):
+            raise ValidationError(f"{what} must be a Pvm, got {type(p).__name__}")
     if e.dim != f.dim:
         raise DimensionMismatchError(f"PVM dimensions differ: {e.dim} vs {f.dim}")
     # the k_e * k_f overlaps sum to d, so their maximum is at least d / (k_e * k_f) > 0
-    overlaps = np.trace(e.stack[:, None] @ f.stack[None], axis1=-2, axis2=-1).real
+    overlaps = np.trace(e.grid[:, None] @ f.grid[None], axis1=-2, axis2=-1).real
     return -math.log(float(overlaps.max()))
 
 

@@ -6,11 +6,11 @@ axis ("+" detection, "-" no detection): a plain `Povm` (one axis), the
 which-way 2x2 grid (`BivariatePovm`) and the two-photon 2x2x2x2 grid
 (`QuadrivariatePovm`) are the same N-axis `OutcomeGrid`, each storing its
 effects once as a read-only stack and accepting one as input.  Flattening a
-grid row-major must again give a valid POVM, and `marginal(grid, keep)` sums
-out every axis not kept.
+grid row-major gives a POVM, and `marginal(grid, keep)` sums out every axis
+not kept.
 Validation is eager so invalid effect lists cannot be represented; the one
-exception, the private `OutcomeGrid._derived`, wraps only stacks that are a
-POVM by construction (products of validated grids).
+exception, the private `OutcomeGrid._derived`, wraps a copy of a stack that
+is a POVM by construction (a flattening or a product of validated grids).
 """
 
 import math
@@ -128,9 +128,10 @@ class OutcomeGrid:
     @classmethod
     def _derived(cls, stack: np.ndarray, axis_labels=None) -> "OutcomeGrid":
         """Unchecked grid over a (*shape, dim, dim) complex128 stack that is a
-        POVM by construction, e.g. per-cell products of validated grids; the
-        stack is made read-only and labelled as the validated route would."""
+        POVM by construction, e.g. per-cell products of validated grids; it
+        keeps a read-only copy, labelled as the validated route would."""
         grid = cls.__new__(cls)
+        stack = stack.copy()
         stack.flags.writeable = False
         grid._label(stack, axis_labels, "label lengths must match the grid shape")
         return grid
@@ -150,7 +151,7 @@ class OutcomeGrid:
         labels = [
             ",".join(ax[k] for ax, k in zip(self.axis_labels, idx)) for idx in np.ndindex(self.shape)
         ]
-        return Povm(self.grid.reshape(-1, self.dim, self.dim), labels)
+        return Povm._derived(self.grid.reshape(-1, self.dim, self.dim), (labels,))
 
     def __repr__(self):
         return f"{type(self).__name__}(shape={self.shape}, dim={self.dim})"
@@ -288,12 +289,8 @@ class OutcomeDistribution:
         arr.flags.writeable = False
         self.probabilities = arr
 
-    @property
-    def shape(self) -> tuple:
-        return self.probabilities.shape
-
     def __repr__(self):
-        return f"OutcomeDistribution(shape={self.shape})"
+        return f"OutcomeDistribution(shape={self.probabilities.shape})"
 
 
 def _expectations(rho: Operator, stack: np.ndarray, e: int = 0) -> np.ndarray:

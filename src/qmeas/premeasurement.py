@@ -41,6 +41,16 @@ class ModelInconsistencyError(ValidationError):
     """The model's induced effects fail the POVM axioms beyond round-off."""
 
 
+def _require_dims(dim_object: int, dim_apparatus: int):
+    """Integer dimensions, each >= 2, whose product is at most MAX_JOINT_DIM."""
+    _require_int(dim_object, "dim_object", DimensionMismatchError)
+    _require_int(dim_apparatus, "dim_apparatus", DimensionMismatchError)
+    if dim_object < 2 or dim_apparatus < 2:
+        raise ValidationError(f"dimensions must be >= 2, got {dim_object}, {dim_apparatus}")
+    if dim_object * dim_apparatus > MAX_JOINT_DIM:
+        raise ValidationError(f"joint dimension {dim_object * dim_apparatus} > {MAX_JOINT_DIM}")
+
+
 class PremeasurementModel:
     """Apparatus state, joint unitary and pointer readout of a measurement.
 
@@ -58,12 +68,7 @@ class PremeasurementModel:
         dim_object: int,
         dim_apparatus: int,
     ):
-        _require_int(dim_object, "dim_object", DimensionMismatchError)
-        _require_int(dim_apparatus, "dim_apparatus", DimensionMismatchError)
-        if dim_object < 2 or dim_apparatus < 2:
-            raise ValidationError(f"dimensions must be >= 2, got {dim_object}, {dim_apparatus}")
-        if dim_object * dim_apparatus > MAX_JOINT_DIM:
-            raise ValidationError(f"joint dimension {dim_object * dim_apparatus} > {MAX_JOINT_DIM}")
+        _require_dims(dim_object, dim_apparatus)
         if u.dim != dim_object * dim_apparatus:
             raise DimensionMismatchError(
                 f"unitary dimension {u.dim} != {dim_object} * {dim_apparatus}"
@@ -92,6 +97,7 @@ class PremeasurementModel:
         dim_object: int,
         dim_apparatus: int,
     ) -> "PremeasurementModel":
+        _require_dims(dim_object, dim_apparatus)
         if hamiltonian.dim != dim_object * dim_apparatus:  # before any eigensolve
             raise DimensionMismatchError(
                 f"hamiltonian dimension {hamiltonian.dim} != {dim_object} * {dim_apparatus}"
@@ -128,7 +134,7 @@ def _lifted_effects(model: PremeasurementModel):
     """Read-only stacks of the lifted pointer projectors I x E_m and of the
     object effects M_m they induce; built once per model, as its `_lifted`."""
     eye_o = np.eye(model.dim_object, dtype=np.complex128)
-    lifted = np.kron(eye_o, model.pointer.stack)  # batched over the pointer's leading axis
+    lifted = np.kron(eye_o, model.pointer.grid).copy()  # batched; copied, kron returns a view
     heis = model.u.mat.conj().T @ lifted @ model.u.mat
     dims = (model.dim_object, model.dim_apparatus)
     weighted = (np.kron(eye_o, model.rho_a.mat) @ heis).reshape(-1, *dims, *dims)

@@ -956,3 +956,24 @@ def test_each_scalar_field_rejects_a_list(tmp_path, capsys, field):
     code, out, err = run_main(tmp_path, capsys, json.dumps(config), "validate")
     assert (code, out) == (1, "")
     assert err.startswith(f"config error: {field}: expected ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+     (["--format", "xml"], "argument --format: invalid choice: "),
+     (None, "the following arguments are required: --config")],
+    ids=["tol", "format", "no-config"],
+)
+def test_a_bad_command_line_is_a_config_error(capsys, argv, message):
+    # argparse exited 2, the code of a domain error
+    whichway = ["--config", str(ROOT / "configs" / "whichway.json")]
+    assert main(["run"] + (whichway + argv if argv else [])) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: qmeas run")

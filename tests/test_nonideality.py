@@ -32,7 +32,7 @@ from qmeas.states import (
     spectral_pvm,
     std_dev,
 )
-from qmeas.experiments import WhichWayConfig, whichway_povm
+from qmeas.experiments import EprBellConfig, WhichWayConfig, eprbell_povm, whichway_povm
 
 LN2 = math.log(2.0)
 J_HALF = 0.75 * math.log(3.0) - 0.5 * math.log(2.0)  # entropy of [[1/2,0],[1/2,1]]
@@ -448,3 +448,30 @@ def test_recovery_targets_of_one_or_more_than_16_outcomes():
     assert np.array_equal(rec.lam, [[0.5], [0.5]]) and rec.residual == pytest.approx(1.0)
     n = Povm(_wishart_effects(np.random.default_rng(3), 17, 2))
     assert recover_nonideality(n, n).residual < 1e-7
+
+
+@pytest.mark.parametrize("position", ["m", "n"])
+@pytest.mark.parametrize("two_arm", [False, True], ids=["bivariate", "quadrivariate"])
+def test_recovery_refuses_a_multi_axis_grid(position, two_arm):
+    # this raised numpy's "operand has more dimensions than subscripts given in einstein sum"
+    arm = WhichWayConfig(0.1, 0.7, 0.4)
+    grid = eprbell_povm(EprBellConfig(arm, arm)) if two_arm else whichway_povm(arm)
+    args = (grid, grid.flatten()) if position == "m" else (grid.flatten(), grid)
+    with pytest.raises(ValidationError) as exc:
+        recover_nonideality(*args)
+    want = f"{position} must be a one-axis POVM, got {type(grid).__name__} of shape {grid.shape}"
+    assert str(exc.value) == want
+
+
+def test_martens_bound_needs_pvm_targets():
+    # a Povm copy of a PVM raised AttributeError: 'Povm' object has no attribute 'stack'
+    e, f = polarization_pvm(0.1), polarization_pvm(0.7)
+    r = whichway_povm(WhichWayConfig(0.1, 0.7, 0.4))
+    for call, message in [
+        (lambda: martens_bound(Povm.from_pvm(e), f), "e must be a Pvm, got Povm"),
+        (lambda: martens_bound(e, Povm.from_pvm(f)), "f must be a Pvm, got Povm"),
+        (lambda: check_martens(r, Povm.from_pvm(e), f), "e must be a Pvm, got Povm"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message

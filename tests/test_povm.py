@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import re
 
@@ -7,7 +8,7 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.operators import DimensionMismatchError, Operator, ValidationError, identity
+from qmeas.operators import DimensionMismatchError, Operator, ValidationError, herm_eig, identity
 from qmeas.povm import (
     BivariatePovm,
     OutcomeDistribution,
@@ -26,10 +27,17 @@ from qmeas.states import (
     expectation,
     maximally_mixed,
     polarization_projector,
+    polarization_pvm,
     pure_state,
     spectral_pvm,
 )
-from qmeas.experiments import EprBellConfig, WhichWayConfig, eprbell_povm, whichway_povm
+from qmeas.experiments import (
+    EprBellConfig,
+    WhichWayConfig,
+    eprbell_povm,
+    quadruple_sample_check,
+    whichway_povm,
+)
 
 gammas = st.floats(min_value=0.0, max_value=1.0)
 
@@ -470,3 +478,62 @@ def test_empty_povm_and_distribution_are_rejected(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def _writable_bases(a):
+    """The arrays in `a`'s `.base` chain, `a` included, that can be written."""
+    writable = []
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            writable.append(a)
+        a = a.base
+    return writable
+
+
+@functools.cache
+def _trusted_arrays() -> dict:
+    """Every array that a validated or derived object exposes as trusted, by name."""
+    rng = np.random.default_rng(31)
+    arms = WhichWayConfig(0.2, 1.1, 0.35), WhichWayConfig(0.7, 0.1, 0.6)
+    whichway, two_arm = whichway_povm(arms[0]), eprbell_povm(EprBellConfig(*arms))
+    pointer = Pvm([Operator(P0), Operator(P1)], [0, 1])
+    model = PremeasurementModel.from_generator(
+        random_hermitian(rng, 4), 1.0, random_density(rng, 2), pointer, 2, 2
+    )
+    rho = random_density(rng, 2)
+    spectral = spectral_pvm(random_hermitian(rng, 3))
+    return {
+        "whichway_povm": whichway.grid,
+        "eprbell_povm": two_arm.grid,
+        "marginal_row": marginal(whichway, "row").grid,
+        "marginal_pair": marginal(two_arm, ("m1", "m2")).grid,
+        "flatten_Povm": induced_povm(model).flatten().grid,
+        "flatten_Pvm": spectral.flatten().grid,
+        "flatten_BivariatePovm": whichway.flatten().grid,
+        "flatten_QuadrivariatePovm": two_arm.flatten().grid,
+        "polarization_pvm": polarization_pvm(0.4).grid,
+        "spectral_pvm": spectral.grid,
+        "induced_povm": induced_povm(model).grid,
+        "lifted_projectors": model._lifted[0],
+        "lifted_effects": model._lifted[1],
+        "herm_eig_eigenvalues": herm_eig(random_hermitian(rng, 3)).eigenvalues,
+        "herm_eig_eigenvectors": herm_eig(random_hermitian(rng, 3)).eigenvectors,
+        "DensityOperator_eig_eigenvalues": rho.eig.eigenvalues,
+        "DensityOperator_eig_eigenvectors": rho.eig.eigenvectors,
+        "distribution": distribution(rho, whichway).probabilities,
+        "quadruple_sample_check": quadruple_sample_check(
+            random_density(rng, 4), EprBellConfig(*arms), 1000, 7
+        ).counts,
+    }
+
+
+@pytest.mark.parametrize("name", list(_trusted_arrays()))
+def test_trusted_arrays_own_their_memory(name):
+    # eprbell_povm's grid and a model's lifted projectors were read-only views
+    # of writable arrays: zeros written through the base reached `distribution`
+    assert not _writable_bases(_trusted_arrays()[name])
+
+
+def test_outcome_distribution_repr_reads_the_probabilities_shape():
+    assert repr(OutcomeDistribution([0.5, 0.5])) == "OutcomeDistribution(shape=(2,))"
+    assert repr(OutcomeDistribution(np.full((2, 2), 0.25))) == "OutcomeDistribution(shape=(2, 2))"

@@ -12,7 +12,7 @@ from qmeas.operators import (
     partial_trace_second,
     tensor_product,
 )
-from qmeas.povm import Povm, PovmValidationError
+from qmeas.povm import Povm, PovmValidationError, marginal
 from qmeas.premeasurement import (
     ModelInconsistencyError,
     PremeasurementModel,
@@ -326,3 +326,53 @@ def test_evolve_joint_rejects_an_object_state_of_another_dimension():
         evolve_joint(pure_state([1.0, 0.0, 0.0]), model)
     assert type(exc.value) is DimensionMismatchError
     assert str(exc.value) == "object state dimension 3 != 2"
+
+
+@pytest.mark.parametrize(
+    "dims, error, message",
+    [((1, 4), ValidationError, "dimensions must be >= 2, got 1, 4"),
+     ((2.0, 2), DimensionMismatchError, "dim_object must be an integer, got 2.0"),
+     ((True, 4), DimensionMismatchError, "dim_object must be an integer, got True")],
+    ids=["1x4", "float", "bool"],
+)
+def test_from_generator_checks_dimensions_before_any_eigensolve(dims, error, message, monkeypatch):
+    # each passed the Hamiltonian's 4 == dim_object * dim_apparatus check, ran
+    # one d = 4 Jacobi solve, and only then raised from the constructor
+    def refuse(*args, **kwargs):
+        raise AssertionError("herm_eig called")
+
+    monkeypatch.setattr("qmeas.operators.herm_eig", refuse)
+    with pytest.raises(error) as exc:
+        PremeasurementModel.from_generator(
+            Operator(np.diag([1.0, 2.0, 3.0, 4.0])), 1.0, pure_state([1, 0, 0, 0]),
+            Pvm([Operator(np.diag(np.eye(4)[k])) for k in range(4)], range(4)), *dims
+        )
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def near_unitary_model():
+    """2x2 model whose unitary U = sqrt(I + 9e-10 J), J all ones, passes the
+    1e-9 unitarity check per entry; with apparatus state (|0> + |1>)/sqrt(2) its
+    induced effects close to I + 1.8e-9 J_o: inside INDUCED_POVM_TOL, not 1e-9."""
+    eps = 9e-10
+    u = Operator(np.eye(4) + (np.sqrt(1 + 4 * eps) - 1) * np.full((4, 4), 0.25))
+    return PremeasurementModel(pure_state(np.array([1, 1]) / np.sqrt(2)), u, computational_pointer(), 2, 2)
+
+
+def test_flatten_of_an_induced_povm_is_labelled_not_checked_again():
+    # flatten re-checked the stack at 1e-9: "closure residual 1.800e-09"
+    induced = induced_povm(near_unitary_model())
+    flat = induced.flatten()
+    assert type(flat) is Povm
+    assert flat.grid.tobytes() == induced.grid.tobytes()
+    assert flat.outcome_labels == induced.outcome_labels == ("0", "1")
+
+
+def test_marginal_of_an_induced_povm_still_checks_at_1e_9():
+    # marginals are re-validated until they are built as derived grids
+    with pytest.raises(PovmValidationError, match=r"closure residual 1\.800e-09"):
+        marginal(induced_povm(near_unitary_model()), 0)
+
+
+def test_premeasurement_model_repr():
+    assert repr(cnot_model()) == "PremeasurementModel(object=2, apparatus=2, pointer_outcomes=2)"
