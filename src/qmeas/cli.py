@@ -133,7 +133,8 @@ def _complex_entry(value, path: str) -> complex:
     return complex(_finite(value[0], path), _finite(value[1], path))
 
 
-def _matrix(value, path: str) -> np.ndarray:
+def _matrix(value, path: str, dim: int = None, dim_key: str = None) -> np.ndarray:
+    """The square matrix at `path`; with `dim`, it must be dim x dim (the field `dim_key`)."""
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of rows")
     rows = []
@@ -141,15 +142,9 @@ def _matrix(value, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != len(value):
             _fail(f"{path}[{i}]", "matrix must be square, rows of [re, im] pairs")
         rows.append([_complex_entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    if dim is not None and len(rows) != dim:
+        _fail(path, f"dimension {len(rows)} != {dim_key} {dim}")
     return np.array(rows)
-
-
-def _sized_matrix(raw: dict, key: str, dim: int, dim_key: str) -> np.ndarray:
-    """The matrix field `key`, which must be dim x dim."""
-    m = _matrix(raw[key], key)
-    if len(m) != dim:
-        _fail(key, f"dimension {len(m)} != {dim_key} {dim}")
-    return m
 
 
 @contextmanager
@@ -283,8 +278,8 @@ def _build_premeasure(raw: dict) -> SimpleNamespace:
     if not isinstance(projectors, list) or not projectors:
         _fail("pointer", "required nonempty list of projector matrices")
     # each size is compared with its declared dimension before any eigensolve
-    rho_a = _sized_matrix(raw, "rho_apparatus", dim_a, "dim_apparatus")
-    rho_o = _sized_matrix(raw, "rho_object", dim_o, "dim_object") if "rho_object" in raw else None
+    rho_a = _matrix(raw["rho_apparatus"], "rho_apparatus", dim_a, "dim_apparatus")
+    rho_o = _matrix(raw["rho_object"], "rho_object", dim_o, "dim_object") if "rho_object" in raw else None
     with _operator_errors("pointer"):
         projectors = [Operator(_matrix(p, f"pointer[{k}]")) for k, p in enumerate(projectors)]
         pointer = Pvm(projectors, labels=range(len(projectors)))

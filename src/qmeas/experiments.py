@@ -73,6 +73,12 @@ class EprBellConfig:
     arm1: WhichWayConfig
     arm2: WhichWayConfig
 
+    def __post_init__(self):
+        for name in ("arm1", "arm2"):
+            arm = getattr(self, name)
+            if not isinstance(arm, WhichWayConfig):
+                raise ValidationError(f"{name} must be a WhichWayConfig, got {type(arm).__name__}")
+
 
 @dataclass(frozen=True)
 class ChshResult:
@@ -86,7 +92,7 @@ class ChshResult:
         if len(self.correlations) != 4:
             raise ValidationError("exactly four correlations expected")
         for k, e in enumerate(self.correlations):
-            if abs(e) > 1.0 + CHSH_BOUND_TOL:
+            if not abs(e) <= 1.0 + CHSH_BOUND_TOL:  # NaN fails it too
                 raise ValidationError(f"correlation {k} = {e:.12g} outside [-1, 1]")
 
     @property

@@ -210,9 +210,17 @@ def row_entropy_measure(lam) -> float:
     return val if val > 0.0 else 0.0
 
 
+def _require_pvms(e: Pvm, f: Pvm):
+    """Raise ValidationError unless both targets e and f are Pvms."""
+    for what, p in (("e", e), ("f", f)):
+        if not isinstance(p, Pvm):
+            raise ValidationError(f"{what} must be a Pvm, got {type(p).__name__}")
+
+
 def joint_nonideal_decomposition(r: BivariatePovm, e: Pvm, f: Pvm):
     """Recover the pair (lam, mu) smearing the target PVMs e and f into the
-    row and column marginals of the joint grid r."""
+    row and column marginals of the joint grid r; other targets raise ValidationError."""
+    _require_pvms(e, f)
     lam = recover_nonideality(marginal(r, "row"), Povm.from_pvm(e))
     mu = recover_nonideality(marginal(r, "col"), Povm.from_pvm(f))
     return lam, mu
@@ -221,9 +229,7 @@ def joint_nonideal_decomposition(r: BivariatePovm, e: Pvm, f: Pvm):
 def martens_bound(e: Pvm, f: Pvm) -> float:
     """State-independent lower bound -ln(max_mn Tr E_m F_n) on J_lam + J_mu
     for any joint nonideal measurement of the PVMs e and f; other targets raise ValidationError."""
-    for what, p in (("e", e), ("f", f)):
-        if not isinstance(p, Pvm):
-            raise ValidationError(f"{what} must be a Pvm, got {type(p).__name__}")
+    _require_pvms(e, f)
     if e.dim != f.dim:
         raise DimensionMismatchError(f"PVM dimensions differ: {e.dim} vs {f.dim}")
     # the k_e * k_f overlaps sum to d, so their maximum is at least d / (k_e * k_f) > 0
@@ -235,8 +241,10 @@ def check_martens(r: BivariatePovm, e: Pvm, f: Pvm) -> InequalityReport:
     """Evaluate J_lam + J_mu >= overlap bound for a joint nonideal measurement.
 
     The slack tolerance is looser than elsewhere (1e-6) because the entropy
-    terms compound solver residuals at the boundary of equality.
+    terms compound solver residuals at the boundary of equality.  The
+    targets are checked, by `martens_bound`, before either recovery runs.
     """
+    rhs = martens_bound(e, f)
     lam, mu = joint_nonideal_decomposition(r, e, f)
     for name, rec in (("row", lam), ("col", mu)):
         if rec.residual > JOINT_RESIDUAL_TOL:
@@ -245,7 +253,6 @@ def check_martens(r: BivariatePovm, e: Pvm, f: Pvm) -> InequalityReport:
                 f"recovery residual {rec.residual:.3e} > {JOINT_RESIDUAL_TOL:.0e}"
             )
     lhs = row_entropy_measure(lam) + row_entropy_measure(mu)
-    rhs = martens_bound(e, f)
     return InequalityReport(lhs, rhs, lhs - rhs, MARTENS_SLACK_TOL)
 
 

@@ -130,8 +130,10 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
 
 def partial_trace_second(m: Operator, dim_first: int, dim_second: int) -> Operator:
     """Trace out the second tensor factor: result[i,j] = sum_k m[i*d2+k, j*d2+k]."""
-    _require_int(dim_first, "dim_first", DimensionMismatchError)
-    _require_int(dim_second, "dim_second", DimensionMismatchError)
+    for what, d in (("dim_first", dim_first), ("dim_second", dim_second)):
+        _require_int(d, what, DimensionMismatchError)
+        if d < 1:
+            raise DimensionMismatchError(f"{what} must be >= 1, got {d}")
     if dim_first * dim_second != m.dim:
         raise DimensionMismatchError(
             f"cannot split dimension {m.dim} as {dim_first} x {dim_second}"

@@ -190,6 +190,12 @@ class Povm(OutcomeGrid):
         return f"{type(self).__name__}(dim={self.dim}, outcomes={len(self)})"
 
 
+def _require_grid(p, what: str):
+    """Raise ValidationError unless p is an outcome grid (a Povm, a Pvm or a multi-axis grid)."""
+    if not isinstance(p, OutcomeGrid):
+        raise ValidationError(f"{what} must be an outcome grid, got {type(p).__name__}")
+
+
 def validate_povm(effects, outcome_labels=None, tol: float = HERMITICITY_TOL) -> Povm:
     """Check the POVM axioms over an effect list and wrap it as a Povm."""
     return Povm(effects, outcome_labels, tol=tol)
@@ -197,6 +203,7 @@ def validate_povm(effects, outcome_labels=None, tol: float = HERMITICITY_TOL) ->
 
 def is_pvm(p: Povm) -> bool:
     """True iff every effect is idempotent within HERMITICITY_TOL: a PVM."""
+    _require_grid(p, "p")
     return bool(np.abs(p.grid @ p.grid - p.grid).max() <= HERMITICITY_TOL)
 
 
@@ -239,6 +246,7 @@ def marginal(grid: OutcomeGrid, keep):
     or an ordered pair of distinct axes, giving a BivariatePovm whose rows
     are the first axis of the pair.
     """
+    _require_grid(grid, "grid")
     keep = (keep,) if isinstance(keep, (str, int, float, np.number)) else tuple(keep)
     axes = []
     for a in keep:
@@ -311,4 +319,5 @@ def _expectations(rho: Operator, stack: np.ndarray, e: int = 0) -> np.ndarray:
 def distribution(rho: Operator, p) -> OutcomeDistribution:
     """Outcome probabilities Tr(rho E) of a density operator for a Povm (a
     Pvm included) or any other outcome grid, shaped like the grid: flat for a Povm."""
+    _require_grid(p, "p")
     return OutcomeDistribution(_expectations(rho, p.grid))

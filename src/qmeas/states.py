@@ -93,7 +93,10 @@ def pure_state(v) -> DensityOperator:
     """Normalized projector |v><v| onto a nonzero state vector.  The vector is
     divided by a power of two before its norm is taken, so its scale is
     irrelevant: the squares inside the norm neither overflow nor underflow."""
-    vec, _ = _binary_scaled(np.asarray(v, dtype=np.complex128).reshape(-1))
+    vec = np.asarray(v, dtype=np.complex128)
+    if vec.ndim > 1:
+        raise ValidationError(f"pure state vector must be one-dimensional, got shape {vec.shape}")
+    vec, _ = _binary_scaled(vec.reshape(-1))
     norm = float(np.linalg.norm(vec))
     if norm == 0.0 or not np.isfinite(norm):
         raise ValidationError("pure state vector must be nonzero and finite")
@@ -109,14 +112,19 @@ def maximally_mixed(dim: int) -> DensityOperator:
 class Pvm(Povm):
     """Projection-valued measure: a `Povm` whose effects are orthogonal projectors
     summing to identity, kept read-only as the (k, d, d) `grid` (d in 2..16, k <= d).
-    `labels` are their real eigenvalues and `outcome_labels` those as `:g` strings.
-    Checked here in full, so `Povm.__init__` does not check the POVM axioms again."""
+    `labels` are their finite real eigenvalues, `outcome_labels` those as `:g` strings.
+    Checked here in full; the PVMs this module derives are built by `_derived`."""
 
     __slots__ = ("labels",)
 
     def __init__(self, projectors, labels):
         projectors = tuple(projectors)
-        labels = tuple(float(x) for x in labels)
+        try:
+            labels = tuple(float(x) for x in labels)
+            if not np.all(np.isfinite(labels)):
+                raise ValueError  # reported below, as a label that is not a number is
+        except (TypeError, ValueError):
+            raise ValidationError("PVM labels must be finite real numbers") from None
         if not projectors:
             raise ValidationError("PVM needs at least one projector")
         if len(labels) != len(projectors):
@@ -150,16 +158,19 @@ class Pvm(Povm):
         if closure > HERMITICITY_TOL:
             raise ValidationError(f"projectors do not sum to identity (residual {closure:.3e})")
         stack.flags.writeable = False
-        outcome_labels = [f"{lab:g}" for lab in labels]
-        self._label(stack, (outcome_labels,), "labels and projectors must have matching length")
-        self.labels = labels
+        self._label(stack, (labels,), "labels and projectors must have matching length")
+
+    def _label(self, grid: np.ndarray, axis_labels, label_error: str):
+        """Keep the eigenvalues `labels`, shown as `:g` strings in `outcome_labels`."""
+        (self.labels,) = axis_labels
+        super()._label(grid, ([f"{lab:g}" for lab in self.labels],), label_error)
 
     stack = Povm.grid  # aliases of the grid and its effects
     projectors = Povm.effects
 
 
 def spectral_pvm(a: Operator) -> Pvm:
-    """Spectral PVM of a Hermitian operator.
+    """Spectral PVM of a Hermitian operator, a PVM by construction and not checked again.
 
     Eigenvalues closer than EIGENVALUE_CLUSTER_TOL times the largest |eigenvalue|
     are treated as one degenerate outcome, so rescaling `a` rescales the labels
@@ -169,8 +180,8 @@ def spectral_pvm(a: Operator) -> Pvm:
     # halved, exactly for normal floats, so that no difference or cluster sum overflows
     half, vecs = 0.5 * eig.eigenvalues, eig.eigenvectors
     cuts = np.flatnonzero(np.diff(half) > EIGENVALUE_CLUSTER_TOL * np.abs(half).max()) + 1
-    blocks, clusters = np.split(vecs, cuts, axis=1), np.split(half, cuts)
-    return Pvm([Operator(b @ b.conj().T) for b in blocks], [2.0 * float(c.mean()) for c in clusters])
+    stack = np.array([b @ b.conj().T for b in np.split(vecs, cuts, axis=1)])
+    return Pvm._derived(stack, (tuple(2.0 * float(c.mean()) for c in np.split(half, cuts)),))
 
 
 def expectation(rho: DensityOperator, m: Operator) -> float:
@@ -210,20 +221,20 @@ def std_dev(rho: DensityOperator, a: Operator) -> float:
 def polarization_projector(theta: float) -> Operator:
     """Rank-1 projector onto the linear polarization direction theta (radians).
     theta is first reduced mod 2 pi, exactly (the identity for |theta| < 2 pi)."""
-    theta = np.fmod(theta, 2.0 * np.pi)
+    with np.errstate(invalid="ignore"):  # an infinite theta gives NaN, which Operator refuses
+        theta = np.fmod(theta, 2.0 * np.pi)
     c, s = np.cos(theta), np.sin(theta)
     return Operator([[c * c, c * s], [c * s, s * s]])
 
 
 def polarization_pvm(theta: float) -> Pvm:
     """Two-outcome PVM {E_+, E_-} of the polarization observable at theta,
-    labels +1 (parallel) and -1 (orthogonal).  theta is reduced mod 2 pi
-    first, so that theta + pi / 2 rounds no further than it does below 2 pi."""
-    theta = np.fmod(theta, 2.0 * np.pi)
-    return Pvm(
-        [polarization_projector(theta), polarization_projector(theta + np.pi / 2.0)],
-        [1.0, -1.0],
-    )
+    labels +1 (parallel) and -1 (orthogonal), not checked again.  theta is reduced
+    mod 2 pi first, so that theta + pi / 2 rounds no further than it does below 2 pi."""
+    with np.errstate(invalid="ignore"):  # an infinite theta gives NaN, which Operator refuses
+        theta = np.fmod(theta, 2.0 * np.pi)
+    stack = [polarization_projector(t).mat for t in (theta, theta + np.pi / 2.0)]
+    return Pvm._derived(np.array(stack), ((1.0, -1.0),))
 
 
 def entangled_pair_state() -> DensityOperator:

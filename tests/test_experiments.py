@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -463,3 +464,38 @@ def test_chsh_result_needs_exactly_four_correlations():
         ChshResult((0.5, 0.5, 0.5))
     assert type(exc.value) is ValidationError
     assert str(exc.value) == "exactly four correlations expected"
+
+
+def test_eprbell_config_needs_two_whichway_arms():
+    # `EprBellConfig(1, 2)` built, and `eprbell_povm` then failed with
+    # "'int' object has no attribute 'theta'"
+    arm = WhichWayConfig(0.1, 0.7, 0.4)
+    for args, message in [
+        ((1, 2), "arm1 must be a WhichWayConfig, got int"),
+        ((arm, (0.1, 0.7, 0.4)), "arm2 must be a WhichWayConfig, got tuple"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            EprBellConfig(*args)
+        assert str(exc.value) == message
+
+
+def test_a_nan_correlation_is_outside_the_chsh_range():
+    # `ChshResult((nan, 0, 0, 0))` built, with `s_value` nan and `violates` False
+    with pytest.raises(ValidationError) as exc:
+        ChshResult((math.nan, 0.0, 0.0, 0.0))
+    assert str(exc.value) == "correlation 0 = nan outside [-1, 1]"
+
+
+def test_an_infinite_angle_is_refused_without_a_warning():
+    # each printed "RuntimeWarning: invalid value encountered in fmod" before it raised
+    calls = [
+        lambda: polarization_projector(math.inf),
+        lambda: polarization_pvm(-math.inf),
+        lambda: whichway_povm(WhichWayConfig(math.inf, 0.0, 0.5)),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                call()
+        assert str(exc.value) == "operator entries must be finite (no NaN/Inf)"

@@ -475,3 +475,42 @@ def test_martens_bound_needs_pvm_targets():
         with pytest.raises(ValidationError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def test_check_martens_refuses_its_targets_before_any_recovery(monkeypatch):
+    # both marginal recoveries once ran before the targets were refused, and an
+    # `Operator` target leaked AttributeError: 'Operator' object has no attribute 'grid'
+    calls = []
+    recover = nonideality._recover
+
+    def counted(*args):
+        calls.append(args)
+        return recover(*args)
+
+    monkeypatch.setattr(nonideality, "_recover", counted)
+    e, f = polarization_pvm(0.1), polarization_pvm(0.7)
+    r = whichway_povm(WhichWayConfig(0.1, 0.7, 0.4))
+    e3 = spectral_pvm(Operator(np.diag([1.0, 2.0, 3.0])))
+    for (e_arg, f_arg), error, message in [
+        ((Povm.from_pvm(e), f), ValidationError, "e must be a Pvm, got Povm"),
+        ((e, Operator(np.eye(2))), ValidationError, "f must be a Pvm, got Operator"),
+        ((e3, f), DimensionMismatchError, "PVM dimensions differ: 3 vs 2"),
+    ]:
+        with pytest.raises(error) as exc:
+            check_martens(r, e_arg, f_arg)
+        assert str(exc.value) == message
+    assert calls == []
+    check_martens(r, e, f)  # the wrapper counts the two recoveries of an accepted call
+    assert len(calls) == 2
+
+
+def test_joint_decomposition_refuses_a_target_that_is_not_a_pvm():
+    # an `Operator` target leaked AttributeError: 'Operator' object has no attribute 'grid'
+    r = whichway_povm(WhichWayConfig(0.1, 0.7, 0.4))
+    f = polarization_pvm(0.7)
+    with pytest.raises(ValidationError) as exc:
+        joint_nonideal_decomposition(r, Operator(np.eye(2)), f)
+    assert str(exc.value) == "e must be a Pvm, got Operator"
+    with pytest.raises(ValidationError) as exc:
+        joint_nonideal_decomposition(r, f, Povm.from_pvm(f))
+    assert str(exc.value) == "f must be a Pvm, got Povm"

@@ -287,3 +287,15 @@ def test_hermiticity_residual_matches_the_plain_difference():
         for _ in range(50):
             m = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
             assert operators._hermiticity_residual(m) == np.abs(m - m.conj().T).max()
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [((-2, -2), "dim_first must be >= 1, got -2"), ((4, 0), "dim_second must be >= 1, got 0"),
+     ((-1, -4), "dim_first must be >= 1, got -1")],
+)
+def test_partial_trace_factors_must_be_positive(dims, message):
+    # (-2, -2) multiplies to 4 and leaked numpy's "can only specify one unknown dimension"
+    with pytest.raises(DimensionMismatchError) as exc:
+        partial_trace_second(Operator(np.eye(4)), *dims)
+    assert str(exc.value) == message

@@ -537,3 +537,19 @@ def test_trusted_arrays_own_their_memory(name):
 def test_outcome_distribution_repr_reads_the_probabilities_shape():
     assert repr(OutcomeDistribution([0.5, 0.5])) == "OutcomeDistribution(shape=(2,))"
     assert repr(OutcomeDistribution(np.full((2, 2), 0.25))) == "OutcomeDistribution(shape=(2, 2))"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda i: distribution(pure_state([1, 0]), i), "p must be an outcome grid, got Operator"),
+        (lambda i: marginal(i, 0), "grid must be an outcome grid, got Operator"),
+        (lambda i: is_pvm(i), "p must be an outcome grid, got Operator"),
+    ],
+    ids=["distribution", "marginal", "is_pvm"],
+)
+def test_a_non_grid_argument_raises_validation_error(call, message):
+    # each leaked AttributeError: 'Operator' object has no attribute 'grid'
+    with pytest.raises(ValidationError) as exc:
+        call(Operator(np.eye(2)))
+    assert str(exc.value) == message

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_density, random_hermitian
+from helpers import random_density, random_hermitian, random_unitary
 
 from qmeas.cli import parse_config
 from qmeas.nonideality import recover_nonideality
@@ -110,3 +110,55 @@ def _fingerprint(pvms) -> str:
 def test_pvms_keep_the_bits_they_had_as_a_class_of_their_own():
     # recorded before `Pvm` subclassed `Povm`
     assert _fingerprint(PVMS) == "8b5583c93dc55933b8d61079290ccdcce1dec2300aca9ea432b62987416414e5"
+
+
+def test_derived_pvms_make_no_call_to_the_pvm_constructor(monkeypatch):
+    # polarization and spectral PVMs are PVMs by construction: they build through `_derived`
+    calls = []
+    init = Pvm.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Pvm, "__init__", counted)
+    polarization_pvm(0.3)
+    spectral_pvm(random_hermitian(np.random.default_rng(27), 4))
+    spectral_pvm(Operator(np.diag([1.0, 1.0, 2.0])))
+    assert calls == []
+    Pvm([Operator(np.eye(2))], [0])  # the wrapper counts a checked PVM
+    assert len(calls) == 1
+
+
+def _derived_pvms():
+    """(name, derived PVM): polarization PVMs at small and huge angles, and the
+    spectral PVMs of seeded Hermitian operators of d = 2..16 at scales 1e-8..1e12,
+    half of them with degenerate spectra (eigenvalues repeated in a random basis)."""
+    angles = (0.0, np.pi / 4, 2.0**27, -3e12, 1e15)
+    pvms = [(f"polarization({t!r})", polarization_pvm(t)) for t in angles]
+    rng = np.random.default_rng(2027)
+    for d in range(2, 17):
+        for scale in (1e-8, 1e-2, 1e4, 1e12):
+            if rng.random() < 0.5:
+                a = random_hermitian(rng, d).mat
+                kind = "random"
+            else:
+                u = random_unitary(rng, d).mat
+                values = rng.integers(-2, 3, size=d).astype(float)  # repeats for d > 5
+                a = (u * values) @ u.conj().T
+                a = 0.5 * (a + a.conj().T)  # exactly Hermitian, so that scaling keeps it so
+                kind = "degenerate"
+            pvms.append((f"spectral-{kind}-d{d}-{scale:g}", spectral_pvm(Operator(scale * a))))
+    return pvms
+
+
+DERIVED = _derived_pvms()
+
+
+@pytest.mark.parametrize("pvm", [p for _, p in DERIVED], ids=[n for n, _ in DERIVED])
+def test_every_derived_pvm_passes_the_full_pvm_check_unchanged(pvm):
+    # keeps "a PVM by construction" checked rather than assumed
+    checked = Pvm([Operator(p) for p in pvm.grid], pvm.labels)
+    assert type(pvm) is Pvm and not pvm.grid.flags.writeable
+    assert checked.grid.tobytes() == pvm.grid.tobytes()
+    assert checked.labels == pvm.labels and checked.outcome_labels == pvm.outcome_labels

@@ -420,3 +420,23 @@ def test_pvm_rejects_malformed_projector_lists(projectors, labels, error, messag
     with pytest.raises(error) as exc:
         Pvm(projectors, labels)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, "a", 1j], ids=repr)
+def test_pvm_labels_must_be_finite_real_numbers(label):
+    # nan and inf built outcome labels "nan" and "inf"; "a" leaked
+    # "could not convert string to float"
+    with pytest.raises(ValidationError) as exc:
+        Pvm([Operator(np.eye(2))], [label])
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "PVM labels must be finite real numbers"
+
+
+def test_pure_state_refuses_a_matrix():
+    # a 2x2 input was flattened into a DensityOperator of dimension 4
+    with pytest.raises(ValidationError) as exc:
+        pure_state([[1.0, 0.0], [0.0, 0.0]])
+    assert str(exc.value) == "pure state vector must be one-dimensional, got shape (2, 2)"
+    with pytest.raises(DimensionMismatchError) as exc:
+        pure_state(1.0)  # a scalar is a dimension-1 state
+    assert str(exc.value) == "density operator dimension 1 outside 2..16"
