@@ -64,13 +64,7 @@ class Operator:
     __slots__ = ("_mat",)
 
     def __init__(self, entries):
-        mat = np.array(entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"operator entries must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("operator entries must be finite (no NaN/Inf)")
-        mat.flags.writeable = False
-        self._mat = mat
+        self._mat = _checked_matrices(entries)
 
     @property
     def mat(self) -> np.ndarray:
@@ -85,18 +79,43 @@ class Operator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def _checked_matrices(entries, lead: int = 0) -> np.ndarray:
+    """A read-only complex128 copy of `entries` whose axes after the first
+    `lead` form one square matrix, every entry finite: `Operator`'s checks."""
+    try:
+        mats = np.array(entries, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+        raise ValidationError("operator entries must be an array of numbers") from None
+    if mats.ndim != lead + 2 or mats.shape[-2] != mats.shape[-1]:
+        raise ValidationError(f"operator entries must be square, got shape {mats.shape[lead:]}")
+    if not np.isfinite(mats).all():
+        raise ValidationError("operator entries must be finite (no NaN/Inf)")
+    mats.flags.writeable = False
+    return mats
+
+
+_EYES = {n: _checked_matrices(np.eye(n)) for n in range(2, 17)}  # read-only identities, d in 2..16
+
+
+def _trusted(mat: np.ndarray) -> Operator:
+    """An Operator over `mat` itself, a read-only matrix already checked square and finite."""
+    op = Operator.__new__(Operator)
+    op._mat = mat
+    return op
+
+
 def _capped(r: float) -> float:
     """r, or the largest float where r is inf or NaN: a residual that fails
     every tolerance and still prints as a finite number."""
     return float(r) if math.isfinite(r) else _FLOAT_MAX
 
 
-def _hermiticity_residual(mat: np.ndarray) -> float:
-    """max |m - m^H|, from halves of the entries so that no difference of
-    finite entries overflows; halving is exact for normal floats."""
-    half = 0.5 * mat
+def _hermiticity_residual(mat: np.ndarray, half=None):
+    """max |m - m^H| of a matrix, or of each in a stack, capped at the largest float; taken
+    from halves (`half`, or m / 2, exact for normal floats) so that no difference overflows."""
+    half = 0.5 * mat if half is None else half
     with np.errstate(over="ignore"):  # the modulus, or twice it, may exceed the float range
-        return _capped(2.0 * np.abs(half - half.conj().T).max())
+        return np.fmin(2.0 * np.abs(half - half.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), _FLOAT_MAX)
 
 
 def _require_int(n, what: str, error=ValidationError):
@@ -161,10 +180,10 @@ class HermitianEig:
 def _require_hermitian(m: Operator, tol: float, what: str) -> np.ndarray:
     """The checked matrix symmetrized, (m + m^H) / 2, halving each term first
     so that entries near the float64 maximum do not overflow."""
-    residual = _hermiticity_residual(m.mat)
+    half = 0.5 * m.mat
+    residual = _hermiticity_residual(m.mat, half)
     if residual > tol:
         raise ValidationError(f"{what} must be Hermitian (residual {residual:.3e} > {tol:.0e})")
-    half = 0.5 * m.mat
     return half + half.conj().T
 
 
@@ -186,47 +205,45 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     n = m.dim
     _require_dim(n, "eigensolver input")
     a = _require_hermitian(m, tol, "eigensolver input")  # symmetrized before iterating
-    eye = np.eye(n, dtype=np.complex128)
+    eye = _EYES[n]
     v = eye.copy()
     previous = math.inf
-    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        magnitudes = np.abs(off)
-        with np.errstate(over="ignore"):  # squares overflow above ~1e154; hypot does not
-            norm = math.sqrt((magnitudes**2).sum())
-        if norm == math.inf:
-            norm = math.hypot(*magnitudes.ravel())
-        if not math.isfinite(norm):  # an entry overflowed: no rotation recovers it
-            raise EigensolverError(f"Jacobi eigensolver overflowed after {sweep} sweeps")
-        if norm < _JACOBI_OFF_TOL or norm >= previous:
-            break
-        if sweep == _JACOBI_MAX_SWEEPS:
-            raise EigensolverError(
-                f"Jacobi eigensolver did not converge within {sweep} sweeps "
-                f"(off-diagonal norm {norm:.3e})"
-            )
-        previous = norm
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r < _JACOBI_SKIP_BELOW:
-                    continue
-                phase = a[p, q] / r
-                # both arguments halved: the same angle, and no overflow near the float maximum
-                t = 0.5 * math.atan2(r, 0.5 * a[p, p].real - 0.5 * a[q, q].real)
-                c, s = math.cos(t), math.sin(t)
-                g = eye.copy()
-                g[p, p] = c
-                g[q, q] = c
-                g[p, q] = -s * phase
-                g[q, p] = s * np.conj(phase)
-                a = g.conj().T @ a @ g
-                v = v @ g
-    order = np.argsort(a.diagonal().real)
-    eigenvalues = a.diagonal().real[order].copy()
-    eigenvectors = v[:, order].copy()
-    return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    with np.errstate(over="ignore"):  # squares above ~1e154 overflow, as rotations may
+        for sweep in range(_JACOBI_MAX_SWEEPS + 1):
+            magnitudes = np.abs(a)
+            magnitudes.flat[:: n + 1] = 0.0  # the off-diagonal moduli
+            norm = math.sqrt(np.add.reduce(np.square(magnitudes), axis=None))
+            if norm == math.inf:
+                norm = math.hypot(*magnitudes.ravel())
+            if not math.isfinite(norm):  # an entry overflowed: no rotation recovers it
+                raise EigensolverError(f"Jacobi eigensolver overflowed after {sweep} sweeps")
+            if norm < _JACOBI_OFF_TOL or norm >= previous:
+                break
+            if sweep == _JACOBI_MAX_SWEEPS:
+                raise EigensolverError(
+                    f"Jacobi eigensolver did not converge within {sweep} sweeps "
+                    f"(off-diagonal norm {norm:.3e})"
+                )
+            previous = norm
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = a[p, q]
+                    r = abs(apq)
+                    if r < _JACOBI_SKIP_BELOW:
+                        continue
+                    phase = apq / r
+                    # both arguments halved: the same angle, and no overflow near the float maximum
+                    t = 0.5 * math.atan2(r, 0.5 * a[p, p].real - 0.5 * a[q, q].real)
+                    c, s = math.cos(t), math.sin(t)
+                    g = eye.copy()
+                    g[p, p] = c
+                    g[q, q] = c
+                    g[p, q] = -s * phase
+                    g[q, p] = s * phase.conjugate()
+                    a = g.conj().T @ a @ g
+                    v = v @ g
+    order = a.diagonal().real.argsort()
+    return HermitianEig(eigenvalues=a.diagonal().real[order], eigenvectors=v[:, order].copy())
 
 
 def exp_hermitian_generator(h: Operator, t: float) -> Operator:

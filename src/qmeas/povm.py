@@ -14,6 +14,7 @@ is a POVM by construction (a flattening or a product of validated grids).
 """
 
 import math
+from itertools import takewhile
 
 import numpy as np
 
@@ -22,9 +23,13 @@ from .operators import (
     DimensionMismatchError,
     Operator,
     ValidationError,
+    _EYES,
     _capped,
+    _checked_matrices,
     _hermiticity_residual,
+    _require_dim,
     _require_tol,
+    _trusted,
     herm_eig,
 )
 
@@ -49,29 +54,34 @@ class PovmValidationError(ValidationError):
 def _check_effects(effects, tol: float):
     """Shared POVM axioms check over a sequence of Operator effects; returns their read-only stack.
 
-    Raises PovmValidationError naming the offending effect index and the
-    numerical residual.
+    Raises DimensionMismatchError for a first effect outside dimensions 2..16,
+    then, effect by effect, PovmValidationError naming the offending effect
+    index and the numerical residual.
     """
     effects = tuple(effects)
     if not effects:
         raise PovmValidationError("POVM needs at least one effect")
-    dim = effects[0].dim if isinstance(effects[0], Operator) else None
+    if not isinstance(effects[0], Operator):
+        raise PovmValidationError("effect 0 is not an Operator")
+    dim = effects[0].dim
+    _require_dim(dim, "POVM")
+    checkable = takewhile(lambda e: isinstance(e, Operator) and e.dim == dim, effects)
+    stack = np.array([e.mat for e in checkable])
+    herms = _hermiticity_residual(stack)  # up to the first effect of another kind or dimension
     for k, e in enumerate(effects):
         if not isinstance(e, Operator):
             raise PovmValidationError(f"effect {k} is not an Operator")
         if e.dim != dim:
             raise DimensionMismatchError(f"effect {k} has dimension {e.dim}, expected {dim}")
-        herm = _hermiticity_residual(e.mat)
-        if herm > tol:
-            raise PovmValidationError(f"effect {k} is not Hermitian (residual {herm:.3e})")
+        if herms[k] > tol:
+            raise PovmValidationError(f"effect {k} is not Hermitian (residual {herms[k]:.3e})")
         low = herm_eig(e, tol=tol).eigenvalues[0]
         if low < -tol:
             raise PovmValidationError(
                 f"effect {k} is not positive semidefinite (min eigenvalue {low:.3e})"
             )
-    stack = np.array([e.mat for e in effects])
     with np.errstate(over="ignore", invalid="ignore"):  # huge effects may sum to inf
-        closure = _capped(np.abs(stack.sum(axis=0) - np.eye(dim)).max())
+        closure = _capped(np.abs(stack.sum(axis=0) - _EYES[dim]).max())
     if closure > tol:
         raise PovmValidationError(f"effects do not sum to identity (closure residual {closure:.3e})")
     stack.flags.writeable = False
@@ -107,7 +117,8 @@ class OutcomeGrid:
         depth = len(self.AXES)
         if isinstance(cells, np.ndarray) and cells.dtype != object:
             shape = cells.shape[:depth]
-            flat = [Operator(c) for c in cells.reshape(math.prod(shape), *cells.shape[depth:])]
+            stack = cells.reshape(math.prod(shape), *cells.shape[depth:])
+            flat = [_trusted(m) for m in _checked_matrices(stack, lead=1)] if len(stack) else ()
         else:
             flat, shape = _row_major(cells, depth)
         stack = _check_effects(flat, tol)

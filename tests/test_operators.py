@@ -33,6 +33,19 @@ def test_constructor_rejects_non_finite():
         Operator([[np.inf, 0], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[[1, 2], [3]], [["a", 1], [1, 1]], [[{}, 1], [1, 1]]],
+    ids=["ragged", "non-numeric", "not-a-number-type"],
+)
+def test_constructor_rejects_ragged_and_non_numeric_entries(entries):
+    # numpy's errors leaked: ValueError "setting an array element with a
+    # sequence" for the ragged rows, "complex() arg is a malformed string"
+    # for "a", and TypeError "must be real number, not dict" for {}
+    with pytest.raises(ValidationError, match="^operator entries must be an array of numbers$"):
+        Operator(entries)
+
+
 def test_entries_are_immutable():
     op = identity(2)
     with pytest.raises(ValueError):

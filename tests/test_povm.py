@@ -8,7 +8,14 @@ from helpers import random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.operators import DimensionMismatchError, Operator, ValidationError, herm_eig, identity
+from qmeas.operators import (
+    HERMITICITY_TOL,
+    DimensionMismatchError,
+    Operator,
+    ValidationError,
+    herm_eig,
+    identity,
+)
 from qmeas.povm import (
     BivariatePovm,
     OutcomeDistribution,
@@ -77,6 +84,23 @@ def test_validate_reports_closure_failure():
 def test_validate_reports_dimension_mismatch():
     with pytest.raises(DimensionMismatchError, match="effect 1"):
         validate_povm([identity(2), identity(3)])
+
+
+@pytest.mark.parametrize(
+    "effects, dim",
+    [
+        (np.eye(17)[None], 17),
+        (np.ones((1, 1, 1)), 1),
+        ([Operator(np.eye(17)), "x"], 17),
+        ([Operator(np.triu(np.ones((17, 17))))], 17),
+    ],
+    ids=["stack-17", "stack-1", "list-17", "non-hermitian-17"],
+)
+def test_povm_names_its_dimension_outside_2_to_16_first(effects, dim):
+    # the eigensolver named it ("eigensolver input dimension 17 outside
+    # 2..16"), after the hermiticity verdict of the first effect
+    with pytest.raises(DimensionMismatchError, match=f"^POVM dimension {dim} outside 2..16$"):
+        Povm(effects)
 
 
 def test_is_pvm_on_spectral_output():
@@ -404,14 +428,84 @@ def _with_entry(stack, value):
         (lambda cells: BivariatePovm(cells, "+-", "+-"), 2, np.zeros((2, 2, 2, 2, 2))),
         (QuadrivariatePovm, 4, _TWO_ARM[..., 0]),
         (Povm, 1, np.zeros((2, 2, 3))),
+        (Povm, 1, np.array([[["a", "b"], ["c", "d"]]])),
+        (lambda cells: BivariatePovm(cells, "+-", "+-"), 2, _with_entry(_WHICHWAY.astype(str), "x")),
     ],
-    ids=["nan", "inf", "povm-ndim-2", "which-way-ndim-5", "two-arm-ndim-5", "non-square"],
+    ids=[
+        "nan", "inf", "povm-ndim-2", "which-way-ndim-5", "two-arm-ndim-5", "non-square",
+        "non-numeric", "which-way-non-numeric",
+    ],
 )
 def test_bad_stacks_raise_what_their_operator_cells_raise(make, depth, stack):
     with pytest.raises(ValidationError) as want:
         make(_as_operators(stack, depth))
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
         make(stack)
+
+
+def _seeded_povm(rng, k, d):
+    """k exactly Hermitian effects that sum to the identity up to round-off."""
+    a = [g @ g.conj().T for g in rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))]
+    eig = herm_eig(Operator(sum(a)))
+    w = (eig.eigenvectors / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+    effects = np.array([w @ x @ w for x in a])
+    return 0.5 * (effects + effects.conj().swapaxes(1, 2))
+
+
+def _plant(rng, stack, kind, j, tol):
+    """Break effect j of the stack by tol, give or take 1e-12."""
+    delta = tol + rng.uniform(-1e-12, 1e-12)
+    d = stack.shape[-1]
+    if kind == "hermitian":
+        p, q = rng.choice(d, 2, replace=False)
+        stack[j, p, q] += delta
+    elif kind == "positive":  # moved, with its closure kept, to another effect
+        eig = herm_eig(Operator(0.5 * (stack[j] + stack[j].conj().T)))
+        v = eig.eigenvectors[:, :1]
+        shift = (eig.eigenvalues[0] + delta) * (v @ v.conj().T)
+        stack[j] -= shift
+        stack[(j + 1) % len(stack)] += shift
+    else:
+        stack[j] += delta * np.eye(d)
+
+
+def _first_failure(stack, tol):
+    """(type, message) of the first axiom a stack's effects break, checked one effect at a time."""
+    for k, m in enumerate(stack):
+        herm = np.abs(m - m.conj().T).max()
+        if herm > tol:
+            return PovmValidationError, f"effect {k} is not Hermitian (residual {herm:.3e})"
+        low = herm_eig(Operator(m), tol).eigenvalues[0]
+        if low < -tol:
+            return PovmValidationError, f"effect {k} is not positive semidefinite (min eigenvalue {low:.3e})"
+    closure = np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1])).max()
+    if closure > tol:
+        return PovmValidationError, f"effects do not sum to identity (closure residual {closure:.3e})"
+    return None
+
+
+def test_stacks_and_operator_lists_name_the_same_first_failure():
+    # the axioms are checked over the whole stack at once; near the tolerance
+    # a residual off by one bit would flip a verdict or change a message
+    rng = np.random.default_rng(97)
+    seen = set()
+    for k in range(1, 7):
+        for d in range(2, 5):
+            for _ in range(6):
+                stack = _seeded_povm(rng, k, d)
+                for _ in range(rng.integers(1, 3)):
+                    kind = rng.choice(["hermitian", "positive", "closure"])
+                    _plant(rng, stack, kind, rng.integers(k), HERMITICITY_TOL)
+                want = _first_failure(stack, HERMITICITY_TOL)
+                seen.add(want and want[1].split(" (")[0].split(" ", 2)[-1])
+                for cells in (stack, [Operator(m) for m in stack]):
+                    if want is None:
+                        assert np.array_equal(Povm(cells).grid, stack)
+                        continue
+                    with pytest.raises(want[0]) as got:
+                        Povm(cells)
+                    assert type(got.value) is want[0] and str(got.value) == want[1]
+    assert len(seen) == 4, seen  # each verdict, and valid stacks, occur
 
 
 def test_marginals_and_flattenings_keep_their_bytes():
