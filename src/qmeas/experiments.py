@@ -47,10 +47,10 @@ __all__ = [
 
 CHSH_BOUND_TOL = 1e-9
 
-_PM_SIGNS = np.array([1.0, -1.0])  # outcome "+" -> +1, "-" -> -1
-
-# Two-arm axes (m1, n1, m2, n2) of the CHSH pairs E(m1,m2), E(m1,n2), E(n1,m2), E(n1,n2)
-_CHSH_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
+# Row k holds, over (m1, n1, m2, n2), the +/-1 product ("+" -> +1, "-" -> -1) of the
+# two outcome axes of CHSH pair k: E(m1,m2), E(m1,n2), E(n1,m2), E(n1,n2)
+_CHSH_SIGNS = np.prod((1.0 - 2.0 * np.indices((2, 2, 2, 2)))[[(0, 2), (0, 3), (1, 2), (1, 3)]], axis=1)
+_CHSH_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -185,18 +185,16 @@ def _two_arm_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return kron.reshape(2, 2, 2, 2, 4, 4)
 
 
+def _two_arm_law(rho: DensityOperator, arm1: tuple, arm2: tuple) -> np.ndarray:
+    """(m1, n1, m2, n2) law of the two-arm grid of arms (theta, theta', gamma), unvalidated."""
+    return _expectations(rho, _two_arm_cells(_whichway_cells(*arm1), _whichway_cells(*arm2)))
+
+
 def eprbell_povm(c: EprBellConfig) -> QuadrivariatePovm:
     """16-outcome grid of the two-arm experiment: the product of the arms'
     validated which-way grids, a POVM by construction and not checked again."""
     a, b = (whichway_povm(arm).grid for arm in (c.arm1, c.arm2))
     return QuadrivariatePovm._derived(_two_arm_cells(a, b))
-
-
-def _pair_correlation(probs: np.ndarray, axis_a: int, axis_b: int) -> float:
-    """+/-1-valued correlation of two outcome axes under one distribution."""
-    sa = _PM_SIGNS.reshape([2 if k == axis_a else 1 for k in range(4)])
-    sb = _PM_SIGNS.reshape([2 if k == axis_b else 1 for k in range(4)])
-    return float((probs * sa * sb).sum())
 
 
 def chsh_single_setup(rho: DensityOperator, c: EprBellConfig) -> ChshResult:
@@ -212,7 +210,7 @@ def chsh_single_setup(rho: DensityOperator, c: EprBellConfig) -> ChshResult:
 
 def _single_setup_result(probs: np.ndarray) -> ChshResult:
     """CHSH result of one two-arm distribution, shaped (m1, n1, m2, n2)."""
-    return ChshResult(tuple(_pair_correlation(probs, a, b) for a, b in _CHSH_AXES))
+    return ChshResult(tuple(float((probs * signs).sum()) for signs in _CHSH_SIGNS))
 
 
 def chsh_pasted_aspect(
@@ -231,14 +229,10 @@ def chsh_pasted_aspect(
     non-detection valued -1.  The four corners measure the four angle
     combinations, and the pasted S can reach 2 sqrt(2).
     """
-    gammas = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))  # corner k reads _CHSH_AXES[k]
-    correlations = []
-    for (gamma1, gamma2), (axis_a, axis_b) in zip(gammas, _CHSH_AXES):
-        a = _whichway_cells(theta1, theta1_prime, gamma1)
-        b = _whichway_cells(theta2, theta2_prime, gamma2)
-        probs = _expectations(rho, _two_arm_cells(a, b))
-        correlations.append(_pair_correlation(probs, axis_a, axis_b))
-    return ChshResult(tuple(correlations))
+    gammas = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))  # corner k reads _CHSH_SIGNS[k]
+    corners = [((theta1, theta1_prime, g1), (theta2, theta2_prime, g2)) for g1, g2 in gammas]
+    laws = (_two_arm_law(rho, *arms) for arms in corners)
+    return ChshResult(tuple(float((probs * signs).sum()) for probs, signs in zip(laws, _CHSH_SIGNS)))
 
 
 @dataclass(frozen=True)
@@ -262,8 +256,8 @@ def quadruple_sample_check(
     total-variation distance must fall below 3 sqrt(ln(16)/n); a larger
     distance means the sampler is broken and raises.
     """
-    a, b = (_whichway_cells(arm.theta, arm.theta_prime, arm.gamma) for arm in (c.arm1, c.arm2))
-    exact = OutcomeDistribution(_expectations(rho, _two_arm_cells(a, b)))
+    arm1, arm2 = ((arm.theta, arm.theta_prime, arm.gamma) for arm in (c.arm1, c.arm2))
+    exact = OutcomeDistribution(_two_arm_law(rho, arm1, arm2))
     counts = sample_counts(exact.probabilities, n_samples, seed)
     empirical = OutcomeDistribution(counts / float(n_samples))
     tv = 0.5 * float(np.abs(empirical.probabilities - exact.probabilities).sum())

@@ -26,6 +26,7 @@ from .operators import (
     SolverError,
     ValidationError,
     _require_hermitian,
+    _require_operator,
     herm_eig,
 )
 from .povm import BivariatePovm, OutcomeGrid, Povm, marginal
@@ -258,6 +259,9 @@ def check_martens(r: BivariatePovm, e: Pvm, f: Pvm) -> InequalityReport:
 
 def check_heisenberg(rho: DensityOperator, a: Operator, b: Operator) -> InequalityReport:
     """Robertson uncertainty product: dA dB >= |Tr rho [A,B]| / 2."""
+    _require_operator(rho, "rho", DensityOperator)  # for its spectral data, `eig`
+    _require_operator(a, "a")
+    _require_operator(b, "b")
     if not (rho.dim == a.dim == b.dim):
         raise DimensionMismatchError(
             f"dimensions differ: state {rho.dim}, operands {a.dim} and {b.dim}"

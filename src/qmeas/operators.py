@@ -10,6 +10,7 @@ factor is the slow index.  The partial trace relies on this bit-exactly.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,22 @@ class Operator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def _is_number(x) -> bool:
+    """True for a bool, int, float, complex, Fraction or numeric numpy scalar."""
+    return isinstance(x, (numbers.Number, np.bool_)) and not isinstance(x, np.timedelta64)
+
+
 def _checked_matrices(entries, lead: int = 0) -> np.ndarray:
     """A read-only complex128 copy of `entries` whose axes after the first
-    `lead` form one square matrix, every entry finite: `Operator`'s checks."""
+    `lead` form one square matrix, every entry a finite number: `Operator`'s checks."""
     try:
-        mats = np.array(entries, dtype=np.complex128)
+        raw = np.asarray(entries)
+        kind = raw.dtype.kind
+        if kind not in "biufc" and not (kind == "O" and all(map(_is_number, raw.flat))):
+            raise TypeError  # strings, bytes, dates and times, or an object that is not a number
+        mats = np.array(raw, dtype=np.complex128)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError("operator entries must be finite (no NaN/Inf)") from None
     except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
         raise ValidationError("operator entries must be an array of numbers") from None
     if mats.ndim != lead + 2 or mats.shape[-2] != mats.shape[-1]:
@@ -124,6 +136,13 @@ def _require_int(n, what: str, error=ValidationError):
         raise error(f"{what} must be an integer, got {n!r}")
 
 
+def _require_operator(m, what: str, kind: type = Operator):
+    """Raise ValidationError unless m is a `kind`: an Operator, or a subclass such as DensityOperator."""
+    if not isinstance(m, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{what} must be {article} {kind.__name__}, got {type(m).__name__}")
+
+
 def _require_dim(dim: int, what: str):
     """Raise DimensionMismatchError unless dim is an integer in 2..16."""
     _require_int(dim, f"{what} dimension", DimensionMismatchError)
@@ -144,11 +163,14 @@ def identity(dim: int) -> Operator:
 
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product with `a` as the slow (left) index."""
+    _require_operator(a, "a")
+    _require_operator(b, "b")
     return Operator(np.kron(a.mat, b.mat))
 
 
 def partial_trace_second(m: Operator, dim_first: int, dim_second: int) -> Operator:
     """Trace out the second tensor factor: result[i,j] = sum_k m[i*d2+k, j*d2+k]."""
+    _require_operator(m, "m")
     for what, d in (("dim_first", dim_first), ("dim_second", dim_second)):
         _require_int(d, what, DimensionMismatchError)
         if d < 1:
@@ -201,6 +223,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     sweep, and EigensolverError when `_JACOBI_MAX_SWEEPS`, read at call time,
     runs out before either stop, or when the norm is not finite.
     """
+    _require_operator(m, "m")
     _require_tol(tol)
     n = m.dim
     _require_dim(n, "eigensolver input")
@@ -248,6 +271,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
 
 def exp_hermitian_generator(h: Operator, t: float) -> Operator:
     """Unitary exp(-i h t) from the spectral decomposition of Hermitian h."""
+    _require_operator(h, "h")
     eig = herm_eig(h)
     with np.errstate(over="ignore", invalid="ignore"):  # eigenvalue * t may pass the float maximum
         phases = np.exp(-1j * eig.eigenvalues * t)

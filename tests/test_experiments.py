@@ -28,7 +28,7 @@ from qmeas.experiments import (
     whichway_nonideality_analytic,
     whichway_povm,
 )
-from qmeas.experiments import _two_arm_cells, _whichway_cells
+from qmeas.experiments import _single_setup_result, _two_arm_cells, _whichway_cells
 
 LN2 = math.log(2.0)
 J_HALF = 0.75 * math.log(3.0) - 0.5 * math.log(2.0)
@@ -297,6 +297,24 @@ def _correlation(probs, axis_a, axis_b):
     sa = signs.reshape([2 if k == axis_a else 1 for k in range(4)])
     sb = signs.reshape([2 if k == axis_b else 1 for k in range(4)])
     return float((probs * sa * sb).sum())
+
+
+def _seeded_laws(rng, n):
+    """n (2, 2, 2, 2) laws with exact zeros, -0.0, subnormals and small negative
+    round-off among their entries; every |correlation| stays within sum |p| <= 1 + 1e-10."""
+    laws = rng.dirichlet(np.ones(16), size=n)
+    planted = rng.random(laws.shape) < 0.3
+    laws[planted] = rng.choice([0.0, -0.0, 5e-324, 2.5e-310, -1e-12, -3e-17], size=planted.sum())
+    return laws.reshape(n, 2, 2, 2, 2)
+
+
+def test_sign_table_reads_any_law_as_the_per_axis_formula():
+    laws = _seeded_laws(np.random.default_rng(29), 2000)
+    # the Born rule's law is the strided real part of a complex array
+    for probs in (*laws, *laws.astype(np.complex128).real):
+        got = _single_setup_result(probs).correlations
+        want = [_correlation(probs, a, b) for a, b in ((0, 2), (0, 3), (1, 2), (1, 3))]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_eprbell_povm_validates_its_two_arm_grids_only(validated_effect_counts):

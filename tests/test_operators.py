@@ -1,10 +1,18 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import random_hermitian
 
 from qmeas import operators
+from qmeas.experiments import (
+    EprBellConfig,
+    WhichWayConfig,
+    chsh_pasted_aspect,
+    chsh_single_setup,
+    quadruple_sample_check,
+)
 from qmeas.nonideality import check_heisenberg
 from qmeas.operators import (
     DimensionMismatchError,
@@ -17,8 +25,18 @@ from qmeas.operators import (
     partial_trace_second,
     tensor_product,
 )
-from qmeas.povm import Povm
-from qmeas.states import DensityOperator, Pvm, expectation, maximally_mixed
+from qmeas.povm import Povm, distribution
+from qmeas.states import (
+    PAULI_X,
+    PAULI_Z,
+    DensityOperator,
+    Pvm,
+    expectation,
+    maximally_mixed,
+    polarization_pvm,
+    spectral_pvm,
+    std_dev,
+)
 
 
 def test_constructor_rejects_non_square():
@@ -33,10 +51,24 @@ def test_constructor_rejects_non_finite():
         Operator([[np.inf, 0], [0, 1]])
 
 
+# numeric strings, bytes, dates and times were taken as numbers, and None was
+# reported as "must be finite (no NaN/Inf)"
 @pytest.mark.parametrize(
     "entries",
-    [[[1, 2], [3]], [["a", 1], [1, 1]], [[{}, 1], [1, 1]]],
-    ids=["ragged", "non-numeric", "not-a-number-type"],
+    [
+        [[1, 2], [3]],
+        [["a", 1], [1, 1]],
+        [[{}, 1], [1, 1]],
+        [[1 + 2j, 0], [0, "1"]],
+        [[b"1", 0], [0, 1]],
+        np.array([[1, 0], [0, 1]], dtype="datetime64[s]"),
+        np.array([[1, 0], [0, 1]], dtype="timedelta64[s]"),
+        [[None, 0], [0, 1]],
+    ],
+    ids=[
+        "ragged", "non-numeric", "not-a-number-type", "numeric-string", "bytes", "datetime64",
+        "timedelta64", "none",
+    ],
 )
 def test_constructor_rejects_ragged_and_non_numeric_entries(entries):
     # numpy's errors leaked: ValueError "setting an array element with a
@@ -44,6 +76,27 @@ def test_constructor_rejects_ragged_and_non_numeric_entries(entries):
     # for "a", and TypeError "must be real number, not dict" for {}
     with pytest.raises(ValidationError, match="^operator entries must be an array of numbers$"):
         Operator(entries)
+
+
+@pytest.mark.parametrize(
+    "entries", [[[10**400, 0], [0, 1]], [[0, Fraction(-(10**400))], [1, 1]]], ids=["int", "fraction"]
+)
+def test_constructor_reports_a_number_beyond_the_float_range_as_not_finite(entries):
+    # OverflowError leaked: "int too large to convert to float", "integer division result too large"
+    with pytest.raises(ValidationError, match=r"^operator entries must be finite \(no NaN/Inf\)$"):
+        Operator(entries)
+
+
+def test_constructor_keeps_the_bytes_of_every_kind_of_number():
+    entries = [
+        [True, np.int8(-3), 2**70 + 1, Fraction(1, 3)],
+        [0.1, np.float32(0.1), 1 + 2j, np.complex64(0.5j)],
+        [np.bool_(False), -0.0, 5e-324, np.uint64(2**64 - 1)],
+        [Fraction(-7, 2), np.float16(0.3), 2**63 + 1, np.longdouble(0.1)],
+    ]
+    want = np.array([[complex(x) for x in row] for row in entries])
+    assert Operator(entries).mat.tobytes() == want.tobytes()
+    assert Operator(np.array(entries, dtype=object)).mat.tobytes() == want.tobytes()
 
 
 def test_entries_are_immutable():
@@ -312,3 +365,48 @@ def test_partial_trace_factors_must_be_positive(dims, message):
     with pytest.raises(DimensionMismatchError) as exc:
         partial_trace_second(Operator(np.eye(4)), *dims)
     assert str(exc.value) == message
+
+
+_A = np.eye(2)
+_CONFIG = EprBellConfig(WhichWayConfig(0.1, 0.5, 0.3), WhichWayConfig(0.2, 0.7, 0.6))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: distribution(_A / 2, polarization_pvm(0.3)), "rho must be an Operator, got ndarray"),
+        (lambda: expectation(_A / 2, PAULI_Z), "rho must be an Operator, got ndarray"),
+        (lambda: expectation(maximally_mixed(2), _A), "m must be an Operator, got ndarray"),
+        (lambda: std_dev(maximally_mixed(2), _A), "a must be an Operator, got ndarray"),
+        (lambda: std_dev(Operator(_A / 2), PAULI_Z), "rho must be a DensityOperator, got Operator"),
+        (lambda: check_heisenberg(_A / 2, PAULI_X, PAULI_Z), "rho must be a DensityOperator, got ndarray"),
+        (lambda: check_heisenberg(maximally_mixed(2), PAULI_X, _A), "b must be an Operator, got ndarray"),
+        (lambda: chsh_single_setup(np.eye(4) / 4, _CONFIG), "rho must be an Operator, got ndarray"),
+        (lambda: chsh_pasted_aspect(np.eye(4) / 4, 0.0, 0.8, 0.4, 1.2), "rho must be an Operator, got ndarray"),
+        (lambda: quadruple_sample_check(np.eye(4) / 4, _CONFIG, 10, 1), "rho must be an Operator, got ndarray"),
+        (lambda: herm_eig(_A), "m must be an Operator, got ndarray"),
+        (lambda: spectral_pvm(_A), "a must be an Operator, got ndarray"),
+        (lambda: exp_hermitian_generator(_A, 1.0), "h must be an Operator, got ndarray"),
+        (lambda: tensor_product(_A, PAULI_Z), "a must be an Operator, got ndarray"),
+        (lambda: tensor_product(PAULI_Z, _A), "b must be an Operator, got ndarray"),
+        (lambda: partial_trace_second(np.eye(4), 2, 2), "m must be an Operator, got ndarray"),
+    ],
+    ids=[
+        "distribution", "expectation-rho", "expectation-m", "std_dev-a", "std_dev-plain-operator-rho",
+        "check_heisenberg-rho", "check_heisenberg-b", "chsh_single_setup", "chsh_pasted_aspect",
+        "quadruple_sample_check", "herm_eig", "spectral_pvm", "exp_hermitian_generator",
+        "tensor_product-a", "tensor_product-b", "partial_trace_second",
+    ],
+)
+def test_an_argument_of_the_wrong_kind_raises_validation_error(call, message):
+    # each leaked AttributeError: 'numpy.ndarray' object has no attribute 'dim' (or 'mat'),
+    # and the plain Operator state 'Operator' object has no attribute 'eig'
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_plain_operator_state_still_gives_expectations_and_distributions():
+    state = Operator(np.eye(2) / 2)
+    assert expectation(state, PAULI_Z) == 0.0
+    assert np.array_equal(distribution(state, polarization_pvm(0.0)).probabilities, [0.5, 0.5])

@@ -220,6 +220,28 @@ def test_povm_rejects_non_operator_effect_0():
         Povm([np.eye(2)])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Povm([Operator(np.eye(2) / 2), "x"]), "effect 1 is not an Operator"),
+        (
+            lambda: BivariatePovm(
+                [[Operator(np.zeros((2, 2))), Operator(np.eye(2) / 2)], [Operator(np.eye(2) / 2), "x"]],
+                "+-",
+                "+-",
+            ),
+            "effect 3 is not an Operator",
+        ),
+        (lambda: Povm([Operator([[1, 1], [0, 0]]), "x"]), "effect 0 is not Hermitian (residual 1.000e+00)"),
+    ],
+    ids=["povm-effect-1", "which-way-cell-1-1", "an-earlier-effect-fails-first"],
+)
+def test_povm_names_a_later_effect_that_is_not_an_operator(build, message):
+    with pytest.raises(PovmValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_marginal_closure():
     grid = whichway_povm(WhichWayConfig(0.2, 1.1, 0.35))
     for axis in ("row", "col"):
@@ -430,10 +452,15 @@ def _with_entry(stack, value):
         (Povm, 1, np.zeros((2, 2, 3))),
         (Povm, 1, np.array([[["a", "b"], ["c", "d"]]])),
         (lambda cells: BivariatePovm(cells, "+-", "+-"), 2, _with_entry(_WHICHWAY.astype(str), "x")),
+        (Povm, 1, np.array([[["1", "0"], ["0", "1"]]])),
+        (Povm, 1, np.eye(2)[None].astype(bytes)),
+        (Povm, 1, np.eye(2, dtype=int)[None].astype("datetime64[s]")),
+        (Povm, 1, np.eye(2, dtype=int)[None].astype("timedelta64[s]")),
     ],
     ids=[
         "nan", "inf", "povm-ndim-2", "which-way-ndim-5", "two-arm-ndim-5", "non-square",
-        "non-numeric", "which-way-non-numeric",
+        "non-numeric", "which-way-non-numeric", "numeric-string", "bytes", "datetime64",
+        "timedelta64",
     ],
 )
 def test_bad_stacks_raise_what_their_operator_cells_raise(make, depth, stack):
