@@ -23,7 +23,7 @@ import numpy as np
 
 from .nonideality import _recover, _target_data, joint_nonideal_decomposition
 from .nonideality import martens_bound, row_entropy_measure
-from .operators import ValidationError, _require_int
+from .operators import ValidationError, _require_int, _require_type
 from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
 from .povm import BivariatePovm, OutcomeDistribution, QuadrivariatePovm, _expectations, distribution
 from .sampling import sample_counts
@@ -74,10 +74,8 @@ class EprBellConfig:
     arm2: WhichWayConfig
 
     def __post_init__(self):
-        for name in ("arm1", "arm2"):
-            arm = getattr(self, name)
-            if not isinstance(arm, WhichWayConfig):
-                raise ValidationError(f"{name} must be a WhichWayConfig, got {type(arm).__name__}")
+        _require_type(self.arm1, "arm1", WhichWayConfig)
+        _require_type(self.arm2, "arm2", WhichWayConfig)
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,7 @@ def whichway_povm(c: WhichWayConfig) -> BivariatePovm:
     outcome; the (+,+) cell is exactly zero and (-,-) absorbs the photons
     lost in either analyzer.
     """
+    _require_type(c, "c", WhichWayConfig)
     return BivariatePovm(_whichway_cells(c.theta, c.theta_prime, c.gamma), ["+", "-"], ["+", "-"])
 
 
@@ -161,9 +160,7 @@ def martens_sweep(theta: float, theta_prime: float, n_points: int) -> list:
     """Entropy pair (J_lam, J_mu) of the which-way experiment on a uniform
     gamma grid, with the overlap bound and the slack of J_lam + J_mu.  The
     two targets do not depend on gamma, so their recovery data is built once."""
-    _require_int(n_points, "n_points")
-    if n_points < 2:
-        raise ValidationError(f"n_points must be >= 2, got {n_points}")
+    _require_int(n_points, "n_points", minimum=2)
     pvms = polarization_pvm(theta), polarization_pvm(theta_prime)
     bound = martens_bound(*pvms)
     targets = [_target_data(p.grid) for p in pvms]
@@ -193,6 +190,7 @@ def _two_arm_law(rho: DensityOperator, arm1: tuple, arm2: tuple) -> np.ndarray:
 def eprbell_povm(c: EprBellConfig) -> QuadrivariatePovm:
     """16-outcome grid of the two-arm experiment: the product of the arms'
     validated which-way grids, a POVM by construction and not checked again."""
+    _require_type(c, "c", EprBellConfig)
     a, b = (whichway_povm(arm).grid for arm in (c.arm1, c.arm2))
     return QuadrivariatePovm._derived(_two_arm_cells(a, b))
 
@@ -256,6 +254,7 @@ def quadruple_sample_check(
     total-variation distance must fall below 3 sqrt(ln(16)/n); a larger
     distance means the sampler is broken and raises.
     """
+    _require_type(c, "c", EprBellConfig)
     arm1, arm2 = ((arm.theta, arm.theta_prime, arm.gamma) for arm in (c.arm1, c.arm2))
     exact = OutcomeDistribution(_two_arm_law(rho, arm1, arm2))
     counts = sample_counts(exact.probabilities, n_samples, seed)

@@ -26,7 +26,7 @@ from .operators import (
     SolverError,
     ValidationError,
     _require_hermitian,
-    _require_operator,
+    _require_type,
     herm_eig,
 )
 from .povm import BivariatePovm, OutcomeGrid, Povm, marginal
@@ -211,17 +211,11 @@ def row_entropy_measure(lam) -> float:
     return val if val > 0.0 else 0.0
 
 
-def _require_pvms(e: Pvm, f: Pvm):
-    """Raise ValidationError unless both targets e and f are Pvms."""
-    for what, p in (("e", e), ("f", f)):
-        if not isinstance(p, Pvm):
-            raise ValidationError(f"{what} must be a Pvm, got {type(p).__name__}")
-
-
 def joint_nonideal_decomposition(r: BivariatePovm, e: Pvm, f: Pvm):
     """Recover the pair (lam, mu) smearing the target PVMs e and f into the
     row and column marginals of the joint grid r; other targets raise ValidationError."""
-    _require_pvms(e, f)
+    _require_type(e, "e", Pvm)
+    _require_type(f, "f", Pvm)
     lam = recover_nonideality(marginal(r, "row"), Povm.from_pvm(e))
     mu = recover_nonideality(marginal(r, "col"), Povm.from_pvm(f))
     return lam, mu
@@ -230,7 +224,8 @@ def joint_nonideal_decomposition(r: BivariatePovm, e: Pvm, f: Pvm):
 def martens_bound(e: Pvm, f: Pvm) -> float:
     """State-independent lower bound -ln(max_mn Tr E_m F_n) on J_lam + J_mu
     for any joint nonideal measurement of the PVMs e and f; other targets raise ValidationError."""
-    _require_pvms(e, f)
+    _require_type(e, "e", Pvm)
+    _require_type(f, "f", Pvm)
     if e.dim != f.dim:
         raise DimensionMismatchError(f"PVM dimensions differ: {e.dim} vs {f.dim}")
     # the k_e * k_f overlaps sum to d, so their maximum is at least d / (k_e * k_f) > 0
@@ -259,9 +254,9 @@ def check_martens(r: BivariatePovm, e: Pvm, f: Pvm) -> InequalityReport:
 
 def check_heisenberg(rho: DensityOperator, a: Operator, b: Operator) -> InequalityReport:
     """Robertson uncertainty product: dA dB >= |Tr rho [A,B]| / 2."""
-    _require_operator(rho, "rho", DensityOperator)  # for its spectral data, `eig`
-    _require_operator(a, "a")
-    _require_operator(b, "b")
+    _require_type(rho, "rho", DensityOperator)  # for its spectral data, `eig`
+    _require_type(a, "a")
+    _require_type(b, "b")
     if not (rho.dim == a.dim == b.dim):
         raise DimensionMismatchError(
             f"dimensions differ: state {rho.dim}, operands {a.dim} and {b.dim}"

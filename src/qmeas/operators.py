@@ -130,17 +130,19 @@ def _hermiticity_residual(mat: np.ndarray, half=None):
         return np.fmin(2.0 * np.abs(half - half.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), _FLOAT_MAX)
 
 
-def _require_int(n, what: str, error=ValidationError):
-    """Raise `error` unless n is an int or numpy integer that is not a bool."""
+def _require_int(n, what: str, error=ValidationError, minimum=None):
+    """Raise `error` unless n is an int or numpy integer, not a bool, and at least `minimum` if given."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise error(f"{what} must be an integer, got {n!r}")
+    if minimum is not None and n < minimum:
+        raise error(f"{what} must be >= {minimum}, got {n}")
 
 
-def _require_operator(m, what: str, kind: type = Operator):
-    """Raise ValidationError unless m is a `kind`: an Operator, or a subclass such as DensityOperator."""
-    if not isinstance(m, kind):
+def _require_type(x, what: str, kind: type = Operator):
+    """Raise ValidationError unless x is a `kind`: by default an Operator, a DensityOperator included."""
+    if not isinstance(x, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValidationError(f"{what} must be {article} {kind.__name__}, got {type(m).__name__}")
+        raise ValidationError(f"{what} must be {article} {kind.__name__}, got {type(x).__name__}")
 
 
 def _require_dim(dim: int, what: str):
@@ -163,18 +165,16 @@ def identity(dim: int) -> Operator:
 
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product with `a` as the slow (left) index."""
-    _require_operator(a, "a")
-    _require_operator(b, "b")
+    _require_type(a, "a")
+    _require_type(b, "b")
     return Operator(np.kron(a.mat, b.mat))
 
 
 def partial_trace_second(m: Operator, dim_first: int, dim_second: int) -> Operator:
     """Trace out the second tensor factor: result[i,j] = sum_k m[i*d2+k, j*d2+k]."""
-    _require_operator(m, "m")
-    for what, d in (("dim_first", dim_first), ("dim_second", dim_second)):
-        _require_int(d, what, DimensionMismatchError)
-        if d < 1:
-            raise DimensionMismatchError(f"{what} must be >= 1, got {d}")
+    _require_type(m, "m")
+    _require_int(dim_first, "dim_first", DimensionMismatchError, minimum=1)
+    _require_int(dim_second, "dim_second", DimensionMismatchError, minimum=1)
     if dim_first * dim_second != m.dim:
         raise DimensionMismatchError(
             f"cannot split dimension {m.dim} as {dim_first} x {dim_second}"
@@ -223,7 +223,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
     sweep, and EigensolverError when `_JACOBI_MAX_SWEEPS`, read at call time,
     runs out before either stop, or when the norm is not finite.
     """
-    _require_operator(m, "m")
+    _require_type(m, "m")
     _require_tol(tol)
     n = m.dim
     _require_dim(n, "eigensolver input")
@@ -271,7 +271,7 @@ def herm_eig(m: Operator, tol: float = HERMITICITY_TOL) -> HermitianEig:
 
 def exp_hermitian_generator(h: Operator, t: float) -> Operator:
     """Unitary exp(-i h t) from the spectral decomposition of Hermitian h."""
-    _require_operator(h, "h")
+    _require_type(h, "h")
     eig = herm_eig(h)
     with np.errstate(over="ignore", invalid="ignore"):  # eigenvalue * t may pass the float maximum
         phases = np.exp(-1j * eig.eigenvalues * t)

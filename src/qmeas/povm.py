@@ -28,8 +28,8 @@ from .operators import (
     _checked_matrices,
     _hermiticity_residual,
     _require_dim,
-    _require_operator,
     _require_tol,
+    _require_type,
     _trusted,
     herm_eig,
 )
@@ -317,7 +317,7 @@ def _expectations(rho: Operator, stack: np.ndarray, e: int = 0) -> np.ndarray:
     """The Born rule: Tr(rho X) for every X of a (..., d, d) stack, shaped
     like the stack's leading axes; each imaginary residue, times 2^e for a
     stack scaled by 2^-e, must stay below HERMITICITY_TOL."""
-    _require_operator(rho, "rho")
+    _require_type(rho, "rho")
     if rho.dim != stack.shape[-1]:
         raise DimensionMismatchError(f"state dim {rho.dim} vs operator dim {stack.shape[-1]}")
     vals = np.trace(rho.mat @ stack, axis1=-2, axis2=-1)

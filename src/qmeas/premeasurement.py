@@ -19,11 +19,12 @@ from .operators import (
     ValidationError,
     _capped,
     _require_int,
+    _require_type,
     exp_hermitian_generator,
 )
 from .operators import tensor_product  # noqa: F401  unused here: ALIASES in bench/test_bench.py pins the binding
 from .povm import Povm, PovmValidationError, validate_povm
-from .states import DensityOperator, Pvm
+from .states import DensityOperator
 
 __all__ = [
     "ModelInconsistencyError",
@@ -62,13 +63,16 @@ class PremeasurementModel:
 
     def __init__(
         self,
-        rho_a: DensityOperator,
+        rho_a: Operator,
         u: Operator,
-        pointer: Pvm,
+        pointer: Povm,
         dim_object: int,
         dim_apparatus: int,
     ):
         _require_dims(dim_object, dim_apparatus)
+        _require_type(rho_a, "rho_a")
+        _require_type(u, "u")
+        _require_type(pointer, "pointer", Povm)
         if u.dim != dim_object * dim_apparatus:
             raise DimensionMismatchError(
                 f"unitary dimension {u.dim} != {dim_object} * {dim_apparatus}"
@@ -92,12 +96,13 @@ class PremeasurementModel:
         cls,
         hamiltonian: Operator,
         time: float,
-        rho_a: DensityOperator,
-        pointer: Pvm,
+        rho_a: Operator,
+        pointer: Povm,
         dim_object: int,
         dim_apparatus: int,
     ) -> "PremeasurementModel":
         _require_dims(dim_object, dim_apparatus)
+        _require_type(hamiltonian, "hamiltonian")
         if hamiltonian.dim != dim_object * dim_apparatus:  # before any eigensolve
             raise DimensionMismatchError(
                 f"hamiltonian dimension {hamiltonian.dim} != {dim_object} * {dim_apparatus}"
@@ -114,6 +119,8 @@ class PremeasurementModel:
 
 def _joint(rho_o: DensityOperator, model: PremeasurementModel) -> np.ndarray:
     """U (rho_o x rho_a) U^dagger as an array, not validated as a state."""
+    _require_type(rho_o, "rho_o")
+    _require_type(model, "model", PremeasurementModel)
     if rho_o.dim != model.dim_object:
         raise DimensionMismatchError(
             f"object state dimension {rho_o.dim} != {model.dim_object}"
@@ -151,6 +158,7 @@ def induced_povm(model: PremeasurementModel) -> Povm:
     Heisenberg-evolved pointer projector, so that
     Tr(rho_o M_m) reproduces the pointer statistics for every object state.
     """
+    _require_type(model, "model", PremeasurementModel)
     try:
         return validate_povm(model._lifted[1], model.pointer.outcome_labels, tol=INDUCED_POVM_TOL)
     except PovmValidationError as exc:

@@ -21,7 +21,7 @@ O(n_samples).
 
 import numpy as np
 
-from .operators import ValidationError, _require_int
+from .operators import _require_int
 from .povm import OutcomeDistribution
 
 __all__ = ["Lcg64", "sample_counts"]
@@ -71,9 +71,7 @@ def sample_counts(probabilities, n_samples: int, seed: int) -> np.ndarray:
     entries are clamped to zero for the cumulative only.
     """
     probs = OutcomeDistribution(probabilities).probabilities
-    _require_int(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    _require_int(n_samples, "n_samples", minimum=1)
     state = np.array([Lcg64(seed).state], dtype=np.uint64)  # the seed, checked and masked
     flat = np.clip(probs.reshape(-1), 0.0, None)
     thresholds = np.ceil(np.cumsum(flat) * 2.0**53).astype(np.uint64)

@@ -18,7 +18,7 @@ from .operators import (
     _capped,
     _require_dim,
     _require_hermitian,
-    _require_operator,
+    _require_type,
     herm_eig,
 )
 from .povm import Povm, _expectations
@@ -177,7 +177,7 @@ def spectral_pvm(a: Operator) -> Pvm:
     are treated as one degenerate outcome, so rescaling `a` rescales the labels
     and keeps the outcomes; each outcome label is the mean of its cluster.
     """
-    _require_operator(a, "a")
+    _require_type(a, "a")
     eig = herm_eig(a)
     # halved, exactly for normal floats, so that no difference or cluster sum overflows
     half, vecs = 0.5 * eig.eigenvalues, eig.eigenvectors
@@ -188,7 +188,7 @@ def spectral_pvm(a: Operator) -> Pvm:
 
 def expectation(rho: DensityOperator, m: Operator) -> float:
     """Tr(rho m) for Hermitian m; the imaginary residue must stay below HERMITICITY_TOL."""
-    _require_operator(m, "m")
+    _require_type(m, "m")
     _require_hermitian(m, HERMITICITY_TOL, "expectation operand")
     return float(_expectations(rho, m.mat))
 
@@ -215,8 +215,8 @@ def std_dev(rho: DensityOperator, a: Operator) -> float:
     difference of moments loses to round-off exactly on eigenstates, where
     this must vanish.  A is first divided by a power of two, so no square overflows.
     """
-    _require_operator(rho, "rho", DensityOperator)  # for its spectral data, `eig`
-    _require_operator(a, "a")
+    _require_type(rho, "rho", DensityOperator)  # for its spectral data, `eig`
+    _require_type(a, "a")
     _require_hermitian(a, HERMITICITY_TOL, "expectation operand")
     s, _, e = _scaled_std_dev(rho, a)
     with np.errstate(over="ignore"):  # a deviation beyond the float range reads inf

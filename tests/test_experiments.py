@@ -184,6 +184,13 @@ def test_martens_sweep_requires_two_points():
         martens_sweep(0.0, 1.0, 1)
 
 
+def test_martens_sweep_names_its_minimum_point_count():
+    with pytest.raises(ValidationError) as exc:
+        martens_sweep(0.0, 0.1, 1)
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "n_points must be >= 2, got 1"
+
+
 def _config(g1, g2, angles=OPTIMAL_ANGLES):
     t1, t1p, t2, t2p = angles
     return EprBellConfig(WhichWayConfig(t1, t1p, g1), WhichWayConfig(t2, t2p, g2))

@@ -6,15 +6,20 @@ list in its `__all__` fails, unless the import line carries `# noqa: F401`
 (a binding kept for code outside the package).  Such a marked, unused import
 must be a binding that `ALIASES` in bench/test_bench.py pins, so none is left
 behind once the bench stops pinning it.
+
+The same AST walk keeps the argument-kind check to one implementation: only
+`operators._require_type` writes "x must be a Kind, got T".
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qmeas"
+KIND_MESSAGE = re.compile(r"must be an? [A-Z]\w*, got")
 
 
 def _exported(tree) -> set:
@@ -165,3 +170,32 @@ def test_private_names_are_imported_only_from_the_module_that_defines_them():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     found = {stem: borrowed_private_imports(text, sources) for stem, text in sources.items()}
     assert {stem: rows for stem, rows in found.items() if rows} == {}
+
+
+def kind_messages(source: str) -> list:
+    """(line, text) of every string constant, f-string parts included, that
+    reads like a kind check's message ("c must be an EprBellConfig, got int")."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and KIND_MESSAGE.search(node.value)
+    )
+
+
+def test_the_kind_message_check_flags_only_messages_naming_a_class():
+    source = (
+        "def f(p, what, n):\n"
+        "    raise ValueError(f\"{what} must be a Pvm, got {type(p).__name__}\")\n"
+        "C = 'c must be an EprBellConfig, got int'\n"
+        "GRID = f'{what} must be an outcome grid, got {p}'\n"
+        "LOW = f'{what} must be >= 2, got {n}'\n"
+        "INT = 'n must be an integer, got 3.0'\n"
+    )
+    assert kind_messages(source) == [(2, " must be a Pvm, got "), (3, "c must be an EprBellConfig, got int")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "operators.py"], ids=lambda p: p.name
+)
+def test_only_the_operators_guard_writes_a_kind_message(path):
+    assert kind_messages(path.read_text(encoding="utf-8")) == []

@@ -11,7 +11,9 @@ from qmeas.experiments import (
     WhichWayConfig,
     chsh_pasted_aspect,
     chsh_single_setup,
+    eprbell_povm,
     quadruple_sample_check,
+    whichway_povm,
 )
 from qmeas.nonideality import check_heisenberg
 from qmeas.operators import (
@@ -26,6 +28,7 @@ from qmeas.operators import (
     tensor_product,
 )
 from qmeas.povm import Povm, distribution
+from qmeas.premeasurement import PremeasurementModel, evolve_joint, induced_povm, pointer_consistency
 from qmeas.states import (
     PAULI_X,
     PAULI_Z,
@@ -369,6 +372,8 @@ def test_partial_trace_factors_must_be_positive(dims, message):
 
 _A = np.eye(2)
 _CONFIG = EprBellConfig(WhichWayConfig(0.1, 0.5, 0.3), WhichWayConfig(0.2, 0.7, 0.6))
+_POINTER = polarization_pvm(0.0)
+_MODEL = PremeasurementModel(maximally_mixed(2), identity(4), _POINTER, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -390,16 +395,37 @@ _CONFIG = EprBellConfig(WhichWayConfig(0.1, 0.5, 0.3), WhichWayConfig(0.2, 0.7, 
         (lambda: tensor_product(_A, PAULI_Z), "a must be an Operator, got ndarray"),
         (lambda: tensor_product(PAULI_Z, _A), "b must be an Operator, got ndarray"),
         (lambda: partial_trace_second(np.eye(4), 2, 2), "m must be an Operator, got ndarray"),
+        (lambda: PremeasurementModel(_A / 2, identity(4), _POINTER, 2, 2),
+         "rho_a must be an Operator, got ndarray"),
+        (lambda: PremeasurementModel(maximally_mixed(2), np.eye(4), _POINTER, 2, 2),
+         "u must be an Operator, got ndarray"),
+        (lambda: PremeasurementModel(maximally_mixed(2), identity(4), _A, 2, 2),
+         "pointer must be a Povm, got ndarray"),
+        (lambda: PremeasurementModel.from_generator(np.eye(4), 1.0, maximally_mixed(2), _POINTER, 2, 2),
+         "hamiltonian must be an Operator, got ndarray"),
+        (lambda: evolve_joint(_A / 2, _MODEL), "rho_o must be an Operator, got ndarray"),
+        (lambda: evolve_joint(maximally_mixed(2), 3), "model must be a PremeasurementModel, got int"),
+        (lambda: pointer_consistency(_A / 2, _MODEL), "rho_o must be an Operator, got ndarray"),
+        (lambda: induced_povm(3), "model must be a PremeasurementModel, got int"),
+        (lambda: whichway_povm(3), "c must be a WhichWayConfig, got int"),
+        (lambda: eprbell_povm(3), "c must be an EprBellConfig, got int"),
+        (lambda: chsh_single_setup(maximally_mixed(4), 3), "c must be an EprBellConfig, got int"),
+        (lambda: quadruple_sample_check(maximally_mixed(4), 3, 10, 1), "c must be an EprBellConfig, got int"),
     ],
     ids=[
         "distribution", "expectation-rho", "expectation-m", "std_dev-a", "std_dev-plain-operator-rho",
         "check_heisenberg-rho", "check_heisenberg-b", "chsh_single_setup", "chsh_pasted_aspect",
         "quadruple_sample_check", "herm_eig", "spectral_pvm", "exp_hermitian_generator",
         "tensor_product-a", "tensor_product-b", "partial_trace_second",
+        "PremeasurementModel-rho_a", "PremeasurementModel-u", "PremeasurementModel-pointer",
+        "from_generator-hamiltonian", "evolve_joint-rho_o", "evolve_joint-model",
+        "pointer_consistency-rho_o", "induced_povm-model", "whichway_povm", "eprbell_povm",
+        "chsh_single_setup-c", "quadruple_sample_check-c",
     ],
 )
 def test_an_argument_of_the_wrong_kind_raises_validation_error(call, message):
     # each leaked AttributeError: 'numpy.ndarray' object has no attribute 'dim' (or 'mat'),
+    # 'int' object has no attribute 'dim_object' (or 'theta', 'arm1', '_lifted'),
     # and the plain Operator state 'Operator' object has no attribute 'eig'
     with pytest.raises(ValidationError) as exc:
         call()

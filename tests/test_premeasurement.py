@@ -374,5 +374,15 @@ def test_marginal_of_an_induced_povm_still_checks_at_1e_9():
         marginal(induced_povm(near_unitary_model()), 0)
 
 
+def test_a_plain_operator_apparatus_state_and_a_povm_pointer_build_a_model():
+    # rho_a and pointer are checked as the classes the model reads: any Operator, any Povm
+    unsharp = Povm([Operator(np.diag([0.9, 0.1])), Operator(np.diag([0.1, 0.9]))], ["0", "1"])
+    model = PremeasurementModel(Operator(np.diag([1.0, 0.0])), CNOT, unsharp, 2, 2)
+    induced = induced_povm(model)
+    assert np.allclose(induced.grid, [np.diag([0.9, 0.1]), np.diag([0.1, 0.9])], atol=1e-15)
+    assert induced.outcome_labels == ("0", "1")
+    assert pointer_consistency(pure_state([0.6, 0.8]), model) < 1e-12
+
+
 def test_premeasurement_model_repr():
     assert repr(cnot_model()) == "PremeasurementModel(object=2, apparatus=2, pointer_outcomes=2)"
